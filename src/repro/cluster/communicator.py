@@ -27,7 +27,7 @@ from .. import sanitizer as _sanitizer
 from .cost_model import CostLedger, Phase
 from .errors import CommunicationError, NodeFailedError
 from .network import Topology
-from .node import Node
+from .node import Node, NodeStatus
 
 
 class Communicator:
@@ -71,7 +71,8 @@ class Communicator:
         return self._nodes[rank]
 
     def _require_alive(self, ranks: Iterable[int], op: str) -> None:
-        failed = [r for r in ranks if self._nodes[r].is_failed]
+        failed = [r for r in ranks
+                  if self._nodes[r].status is NodeStatus.FAILED]
         if failed:
             raise CommunicationError(
                 f"{op} involves failed node(s)", failed_ranks=failed
@@ -164,24 +165,30 @@ class Communicator:
         shape, so each component of a batched reduction accumulates exactly
         like the corresponding scalar reduction.
         """
-        participants = self.alive_ranks() if alive_only else list(range(self.size))
+        participants = self.alive_ranks() if alive_only else range(self.size)
         if not alive_only:
             self._require_alive(participants, "allreduce")
-        missing = [r for r in participants if r not in contributions
-                   and self._nodes[r].is_alive]
-        if missing:
+        # Every participant is alive here, so each must have contributed;
+        # the missing list is only built once a lookup has failed.
+        try:
+            values = [contributions[r] for r in participants]
+        except KeyError:
+            missing = [r for r in participants if r not in contributions]
             raise CommunicationError(
                 f"allreduce is missing contributions from ranks {missing}"
-            )
-        values = [contributions[r] for r in participants if r in contributions]
+            ) from None
         if not values:
             raise CommunicationError("allreduce with no participants")
-        sizes = sorted({_payload_elements(v) for v in values})
-        if len(sizes) > 1:
-            raise CommunicationError(
-                f"allreduce contributions have mismatched sizes {sizes}"
-            )
-        n_scalars = sizes[0]
+        if set(map(type, values)) <= _SCALAR_TYPES:
+            # Plain scalar reduction (dot products): one element each.
+            n_scalars = 1
+        else:
+            sizes = sorted({_payload_elements(v) for v in values})
+            if len(sizes) > 1:
+                raise CommunicationError(
+                    f"allreduce contributions have mismatched sizes {sizes}"
+                )
+            n_scalars = sizes[0]
         if _sanitizer._ACTIVE is not None:
             # After the size check: a size mismatch stays a CommunicationError
             # (the communicator's own contract); the sanitizer adds the
@@ -289,6 +296,10 @@ class Communicator:
         self._ledger.add_time(
             phase, self._ledger.model.allreduce_time(len(participants), 0)
         )
+
+
+#: Payload types that always count as exactly one element.
+_SCALAR_TYPES = frozenset({float, np.float64})
 
 
 def _payload_elements(payload: Any) -> int:

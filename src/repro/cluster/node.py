@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator
+from typing import Any, Dict, Iterator, Sequence
 
 import numpy as np
 
@@ -96,6 +96,27 @@ class NodeMemory:
     def keys(self):
         self._check()
         return list(self._store.keys())
+
+    @staticmethod
+    def hold_all(memories: Sequence["NodeMemory"], key: Any,
+                 values: Sequence[Any]) -> bool:
+        """True if every ``memories[i]`` is live and stores exactly ``values[i]``.
+
+        One identity test per memory, not a read: it never raises and never
+        fires the sanitizer's read hooks.  The distributed containers use it
+        to confirm that every rank still holds the container's own view of
+        its shared buffer (see :mod:`repro.distributed.blockstore`); a failed
+        node, a wiped replacement or a key rebound to another object makes it
+        False, and the container then takes its guarded per-rank path.  It is
+        a static method over all ranks because it runs on every container
+        operation: one Python loop here instead of a method call per rank.
+        """
+        failed = NodeStatus.FAILED
+        for memory, value in zip(memories, values):
+            if memory._store.get(key) is not value \
+                    or memory._node.status is failed:
+                return False
+        return True
 
     def raw_keys(self):
         """Keys currently in the raw store, without the liveness check.

@@ -284,12 +284,11 @@ class BlockPCG:
         bulk-synchronous charge is the worst rank's block work scaled by the
         column count (``k`` independent applications back to back), so at
         ``k = 1`` it equals ``DistributedPCG._apply_preconditioner``'s
-        charge exactly.
+        charge exactly.  Reads and writes go through the per-rank views of
+        resident multi-vectors, as in the single-vector path.
         """
         model = self.cluster.ledger.model
-        for rank in range(self.partition.n_parts):
-            block = self.preconditioner.apply_block(rank, residual.get_block(rank))
-            out.set_block(rank, block)
+        out.set_blocks_from(residual, self.preconditioner.apply_block)
         self.cluster.ledger.add_time(
             Phase.PRECOND_COMPUTE,
             model.precond_apply_time(

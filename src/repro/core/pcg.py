@@ -164,12 +164,12 @@ class DistributedPCG:
         The bulk-synchronous charge is set by the worst rank's block work,
         which is static across iterations -- it comes from the cached
         :meth:`Preconditioner.max_block_work_nnz` instead of a per-rank
-        Python ``max`` loop on every application.
+        Python ``max`` loop on every application.  Resident vectors are read
+        and written through their per-rank views (see
+        :meth:`~repro.distributed.blockstore.NodeBlockStore.set_blocks_from`).
         """
         model = self.cluster.ledger.model
-        for rank in range(self.partition.n_parts):
-            block = self.preconditioner.apply_block(rank, residual.get_block(rank))
-            out.set_block(rank, block)
+        out.set_blocks_from(residual, self.preconditioner.apply_block)
         self.cluster.ledger.add_time(
             Phase.PRECOND_COMPUTE,
             model.precond_apply_time(self.preconditioner.max_block_work_nnz()),

@@ -17,12 +17,13 @@ recovery.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..cluster.cluster import VirtualCluster
+from ..cluster.node import NodeMemory
 from ..utils.validation import check_square
 from .partition import BlockRowPartition
 
@@ -181,6 +182,16 @@ class DistributedMatrix:
         """Rows owned by *rank* as a ``(n_i, n)`` CSR block (node memory)."""
         return self.cluster.node(rank).memory[self._key()]
 
+    def holds_row_blocks(self, blocks: Sequence[sp.csr_matrix]) -> bool:
+        """True if every rank's node still stores exactly ``blocks[rank]``.
+
+        An identity test per rank (never raises): the SpMV engine uses it to
+        confirm that no row block it was built from has been lost to a
+        failure or replaced since, before skipping the per-rank block reads.
+        """
+        return NodeMemory.hold_all([node.memory for node in self.cluster.nodes],
+                                   self._key(), blocks)
+
     def row_block_from_storage(self, rank: int, *, charge: bool = True
                                ) -> sp.csr_matrix:
         """Re-retrieve the rows of *rank* from reliable storage (recovery path)."""
@@ -270,7 +281,6 @@ class DistributedMatrix:
         if from_storage:
             owners = np.unique(self.partition.owner_of(row_indices))
             rows = self.recovery_rows(owners, charge=charge)
-            offsets = self.partition.offsets
             base = np.concatenate([
                 self.partition.indices_of(int(r)) for r in owners
             ])

@@ -1,10 +1,12 @@
 """Distributed multi-vectors (blocks of ``k`` right-hand sides).
 
 A :class:`DistributedMultiVector` is the multi-RHS counterpart of
-:class:`~repro.distributed.dvector.DistributedVector`: each node stores one
-``(n_i, k)`` NumPy block of a global ``(n, k)`` dense matrix in its private
-memory.  Block-Krylov and multi-RHS workloads use it with the batched
-``Y = A X`` kernel of the SpMV engine
+:class:`~repro.distributed.dvector.DistributedVector`: it owns one C-order
+``(n, k)`` buffer, and each node's private memory stores the ``(n_i, k)``
+view of its partition rows (the storage contract of
+:mod:`repro.distributed.blockstore`; resident multi-vectors run block BLAS-1
+on the whole buffer and reduce over the views).  Block-Krylov and multi-RHS
+workloads use it with the batched ``Y = A X`` kernel of the SpMV engine
 (:meth:`~repro.distributed.spmv_engine.SpmvEngine.apply_block`) and the
 block BLAS-1 operations below; :class:`~repro.core.block_pcg.BlockPCG` is
 the solver built on top of both, and
@@ -36,7 +38,7 @@ dot, so its per-column results are bit-identical to
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,6 +70,7 @@ class DistributedMultiVector(NodeBlockStore):
         self.partition = partition
         self.name = name
         self.n_cols = int(n_cols)
+        self._init_storage((self.n_cols,))
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -75,8 +78,7 @@ class DistributedMultiVector(NodeBlockStore):
               name: str, n_cols: int) -> "DistributedMultiVector":
         """Create a distributed multi-vector of zeros."""
         mvec = cls(cluster, partition, name, n_cols)
-        for rank in range(partition.n_parts):
-            mvec.set_block(rank, np.zeros((partition.size_of(rank), n_cols)))
+        mvec._install()
         return mvec
 
     @classmethod
@@ -89,9 +91,8 @@ class DistributedMultiVector(NodeBlockStore):
                 f"expected a ({partition.n}, k) array, got shape {values.shape}"
             )
         mvec = cls(cluster, partition, name, values.shape[1])
-        for rank in range(partition.n_parts):
-            start, stop = partition.range_of(rank)
-            mvec.set_block(rank, values[start:stop].copy())
+        mvec._buf[:] = values
+        mvec._install()
         return mvec
 
     @classmethod
@@ -122,7 +123,7 @@ class DistributedMultiVector(NodeBlockStore):
         return self.cluster.node(rank).memory[self._key()]
 
     def set_block(self, rank: int, values: np.ndarray) -> None:
-        """Overwrite the block owned by *rank*."""
+        """Overwrite the block owned by *rank* (copies into the rank's view)."""
         values = np.asarray(values, dtype=np.float64)
         expected = (self.partition.size_of(rank), self.n_cols)
         if values.shape != expected:
@@ -130,7 +131,7 @@ class DistributedMultiVector(NodeBlockStore):
                 f"block for rank {rank} must have shape {expected}, "
                 f"got {values.shape}"
             )
-        self.cluster.node(rank).memory[self._key()] = values
+        self._write_block(rank, values)
 
     # -- assembly / views ---------------------------------------------------
     def to_global(self, *, allow_missing: bool = False,
@@ -183,23 +184,20 @@ class DistributedMultiVector(NodeBlockStore):
         """Deep copy under a new name (charged as a streaming block op)."""
         out = DistributedMultiVector(self.cluster, self.partition, name,
                                      self.n_cols)
-        for rank in range(self.partition.n_parts):
-            out.set_block(rank, self.get_block(rank).copy())
+        self._copy_into(out)
         self._charge_block_op(1.0)
         return out
 
     def fill(self, value: float) -> "DistributedMultiVector":
         """Set every element (all columns) to *value*."""
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] = value
+        self._elementwise(lambda own: np.copyto(own, value))
         self._charge_block_op(1.0)
         return self
 
     def scale(self, alpha: Coefficient) -> "DistributedMultiVector":
         """In-place ``self *= alpha`` (scalar or per-column)."""
         alpha = self._coefficient(alpha)
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] *= alpha
+        self._elementwise(lambda own: np.multiply(own, alpha, out=own))
         self._charge_block_op(1.0)
         return self
 
@@ -208,8 +206,8 @@ class DistributedMultiVector(NodeBlockStore):
         """In-place ``self[:, j] += alpha_j * x[:, j]`` (scalar or per-column)."""
         self._check_compatible(x)
         alpha = self._coefficient(alpha)
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] += alpha * x.get_block(rank)
+        self._elementwise(
+            lambda own, xs: np.add(own, alpha * xs, out=own), x)
         self._charge_block_op(2.0)
         return self
 
@@ -221,17 +219,15 @@ class DistributedMultiVector(NodeBlockStore):
         """
         self._check_compatible(x)
         alpha = self._coefficient(alpha)
-        for rank in range(self.partition.n_parts):
-            block = self.get_block(rank)
-            block[:] = x.get_block(rank) + alpha * block
+        self._elementwise(
+            lambda own, xs: np.add(xs, alpha * own, out=own), x)
         self._charge_block_op(2.0)
         return self
 
     def assign(self, other: "DistributedMultiVector") -> "DistributedMultiVector":
         """In-place copy of *other*'s values into this multi-vector."""
         self._check_compatible(other)
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] = other.get_block(rank)
+        self._elementwise(np.copyto, other)
         self._charge_block_op(1.0)
         return self
 
@@ -262,13 +258,10 @@ class DistributedMultiVector(NodeBlockStore):
         GEMM, so the diagonal may differ from :meth:`dots` in the last bits.
         """
         self._check_compatible(other)
-        contributions: Dict[int, np.ndarray] = {}
-        for rank in range(self.partition.n_parts):
-            node = self.cluster.node(rank)
-            if alive_only and not node.is_alive:
-                continue
-            block = self.get_block(rank)
-            contributions[rank] = block.T @ other.get_block(rank)
+        contributions: Dict[int, np.ndarray] = {
+            rank: mine.T @ theirs
+            for rank, mine, theirs in self._paired_blocks(other, alive_only)
+        }
         # 2k flops per stored element: each of the k^2 entries is a length
         # n_i dot, i.e. the streaming charge of k passes over the block.
         self._charge_block_op(2.0 * self.n_cols,
@@ -367,19 +360,13 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
     partition = first.partition
     k = first.n_cols
     contributions: Dict[int, np.ndarray] = {}
-    for rank in range(partition.n_parts):
-        node = cluster.node(rank)
-        if alive_only and not node.is_alive:
-            continue
-        parts = []
-        for x, y in pairs:
-            # Same contiguous-BLAS gather as ``dots`` so each component runs
-            # the identical kernel on identical data.
-            mine = np.ascontiguousarray(x.get_block(rank).T)
-            theirs = (mine if y is x
-                      else np.ascontiguousarray(y.get_block(rank).T))
-            parts.append(np.array([mine[j] @ theirs[j] for j in range(k)]))
-        contributions[rank] = np.concatenate(parts)
+    # Rank-major over all pairs; every pair yields the same participating
+    # ranks (no container is resident while any node is failed).
+    streams = [_column_blocks(x, y, alive_only) for x, y in pairs]
+    for per_pair in zip(*streams):
+        contributions[per_pair[0][0]] = np.array(
+            [mine[j] @ theirs[j] for _, mine, theirs in per_pair
+             for j in range(k)])
     n_rows = (participating_max_block_size(partition, contributions)
               if alive_only else None)
     for x, _ in pairs:
@@ -389,3 +376,28 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
         dtype=np.float64,
     )
     return [total[i * k:(i + 1) * k].copy() for i in range(len(pairs))]
+
+
+def _column_blocks(x: DistributedMultiVector, y: DistributedMultiVector,
+                   alive_only: bool
+                   ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """``(rank, x block, y block)`` with each block as contiguous ``(k, n_i)``.
+
+    Row ``j`` of a yielded block is column ``j`` of the rank's rows in one
+    contiguous buffer, so every per-column dot runs the same BLAS kernel on
+    the same data as :meth:`DistributedVector.dot` on that column.
+    Resident multi-vectors are transposed once as a whole; otherwise each
+    rank's block (read through :meth:`NodeBlockStore._paired_blocks`) is
+    transposed on its own.
+    """
+    mine, theirs = x.resident_buffer(), y.resident_buffer()
+    if mine is not None and theirs is not None:
+        x_cols = np.ascontiguousarray(mine.T)
+        y_cols = x_cols if y is x else np.ascontiguousarray(theirs.T)
+        for rank, start, stop in x.partition.blocks():
+            yield rank, x_cols[:, start:stop], y_cols[:, start:stop]
+        return
+    for rank, x_block, y_block in x._paired_blocks(y, alive_only):
+        x_cols = np.ascontiguousarray(x_block.T)
+        yield rank, x_cols, (x_cols if y is x
+                             else np.ascontiguousarray(y_block.T))

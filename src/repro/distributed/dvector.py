@@ -1,11 +1,19 @@
 """Distributed vectors with node-local block storage.
 
-A :class:`DistributedVector` owns one NumPy block per node, stored inside that
-node's private :class:`~repro.cluster.node.NodeMemory`.  This is what makes
-the failure simulation meaningful: when a node fails, its block of every
-dynamic vector (``x``, ``r``, ``z``, ``p``, ``Ap``) is genuinely gone and any
-attempt to read it raises, so recovery code must obtain the data from
-redundant copies or recompute it.
+A :class:`DistributedVector` owns one contiguous ``(n,)`` buffer; the block of
+node ``i`` is the view of its partition rows, and that view is what the
+node's private :class:`~repro.cluster.node.NodeMemory` stores.  This is what
+makes the failure simulation meaningful: when a node fails, its block of every
+dynamic vector (``x``, ``r``, ``z``, ``p``, ``Ap``) is genuinely gone from its
+memory and any attempt to read it raises, so recovery code must obtain the
+data from redundant copies or recompute it.
+
+While every rank holds the vector's own view (the vector is *resident*, see
+:mod:`repro.distributed.blockstore`), the elementwise operations run as one
+NumPy call on the whole buffer and the reductions iterate the views; both
+are bit-identical to the per-rank loop, which remains the path for vectors
+with a failed, wiped or rebound rank.  ``set_block`` copies the values into
+the rank's view, so the caller's array is never aliased.
 
 All arithmetic helpers charge the bulk-synchronous cost model: local work is
 charged as the maximum over the participating nodes, and reductions go through
@@ -40,6 +48,7 @@ class DistributedVector(NodeBlockStore):
         self.cluster = cluster
         self.partition = partition
         self.name = name
+        self._init_storage()
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -47,8 +56,7 @@ class DistributedVector(NodeBlockStore):
               name: str) -> "DistributedVector":
         """Create a distributed vector of zeros."""
         vec = cls(cluster, partition, name)
-        for rank in range(partition.n_parts):
-            vec.set_block(rank, np.zeros(partition.size_of(rank)))
+        vec._install()
         return vec
 
     @classmethod
@@ -61,9 +69,8 @@ class DistributedVector(NodeBlockStore):
                 f"expected a vector of length {partition.n}, got shape {values.shape}"
             )
         vec = cls(cluster, partition, name)
-        for rank in range(partition.n_parts):
-            start, stop = partition.range_of(rank)
-            vec.set_block(rank, values[start:stop].copy())
+        vec._buf[:] = values
+        vec._install()
         return vec
 
     # -- block access ----------------------------------------------------------
@@ -75,7 +82,7 @@ class DistributedVector(NodeBlockStore):
         return self.cluster.node(rank).memory[self._key()]
 
     def set_block(self, rank: int, values: np.ndarray) -> None:
-        """Overwrite the block owned by *rank*."""
+        """Overwrite the block owned by *rank* (copies into the rank's view)."""
         values = np.asarray(values, dtype=np.float64)
         expected = self.partition.size_of(rank)
         if values.shape != (expected,):
@@ -83,7 +90,7 @@ class DistributedVector(NodeBlockStore):
                 f"block for rank {rank} must have shape ({expected},), "
                 f"got {values.shape}"
             )
-        self.cluster.node(rank).memory[self._key()] = values
+        self._write_block(rank, values)
 
     # ``has_block`` / ``available_ranks`` / ``lost_ranks`` / ``delete`` come
     # from :class:`NodeBlockStore` (shared with ``DistributedMultiVector``).
@@ -117,48 +124,42 @@ class DistributedVector(NodeBlockStore):
     def copy(self, name: str) -> "DistributedVector":
         """Deep copy under a new name (charged as a streaming vector op)."""
         out = DistributedVector(self.cluster, self.partition, name)
-        for rank in range(self.partition.n_parts):
-            out.set_block(rank, self.get_block(rank).copy())
+        self._copy_into(out)
         self._charge_vector_op(1.0)
         return out
 
     def fill(self, value: float) -> "DistributedVector":
         """Set every element to *value*."""
-        for rank in range(self.partition.n_parts):
-            block = self.get_block(rank)
-            block[:] = value
+        self._elementwise(lambda own: np.copyto(own, value))
         self._charge_vector_op(1.0)
         return self
 
     def scale(self, alpha: float) -> "DistributedVector":
         """In-place ``self *= alpha``."""
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] *= alpha
+        self._elementwise(lambda own: np.multiply(own, alpha, out=own))
         self._charge_vector_op(1.0)
         return self
 
     def axpy(self, alpha: float, x: "DistributedVector") -> "DistributedVector":
         """In-place ``self += alpha * x``."""
         self._check_compatible(x)
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] += alpha * x.get_block(rank)
+        self._elementwise(
+            lambda own, xs: np.add(own, alpha * xs, out=own), x)
         self._charge_vector_op(2.0)
         return self
 
     def aypx(self, alpha: float, x: "DistributedVector") -> "DistributedVector":
         """In-place ``self = x + alpha * self`` (the PCG search-direction update)."""
         self._check_compatible(x)
-        for rank in range(self.partition.n_parts):
-            block = self.get_block(rank)
-            block[:] = x.get_block(rank) + alpha * block
+        self._elementwise(
+            lambda own, xs: np.add(xs, alpha * own, out=own), x)
         self._charge_vector_op(2.0)
         return self
 
     def assign(self, other: "DistributedVector") -> "DistributedVector":
         """In-place copy of *other*'s values into this vector."""
         self._check_compatible(other)
-        for rank in range(self.partition.n_parts):
-            self.get_block(rank)[:] = other.get_block(rank)
+        self._elementwise(np.copyto, other)
         self._charge_vector_op(1.0)
         return self
 
@@ -176,14 +177,10 @@ class DistributedVector(NodeBlockStore):
     def dot(self, other: "DistributedVector", *, alive_only: bool = False) -> float:
         """Global dot product via local dots + allreduce."""
         self._check_compatible(other)
-        contributions: Dict[int, float] = {}
-        for rank in range(self.partition.n_parts):
-            node = self.cluster.node(rank)
-            if alive_only and not node.is_alive:
-                continue
-            contributions[rank] = float(
-                self.get_block(rank) @ other.get_block(rank)
-            )
+        contributions: Dict[int, float] = {
+            rank: float(mine @ theirs)
+            for rank, mine, theirs in self._paired_blocks(other, alive_only)
+        }
         # The local compute is bulk-synchronous: the slowest *participating*
         # rank sets the pace.  On a shrunken communicator (alive_only) a dead
         # rank contributes nothing, so the global max block size must not be
@@ -262,6 +259,9 @@ def swap_names(a: DistributedVector, b: DistributedVector) -> None:
     vector under *both* names.  Instead of silently skipping such ranks, the
     stale keys are invalidated in the raw store so a later restore cannot
     expose pre-swap data; recovery must re-create the blocks explicitly.
+
+    The two vectors exchange their buffers along with the keys, so a vector
+    that was resident before the swap is resident after it.
     """
     if a.cluster is not b.cluster or not a.partition.is_compatible_with(b.partition):
         raise ValueError("can only swap vectors on the same cluster/partition")
@@ -282,3 +282,7 @@ def swap_names(a: DistributedVector, b: DistributedVector) -> None:
             node.memory[key_b] = block_a
         elif key_b in node.memory:
             del node.memory[key_b]
+    # Each key now holds the other vector's views: hand the buffers over too,
+    # so both vectors stay resident (and keep their whole-buffer paths).
+    a._buf, b._buf = b._buf, a._buf
+    a._views, b._views = b._views, a._views

@@ -10,6 +10,7 @@ and others ceil(n/N) rows").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -42,35 +43,55 @@ class BlockRowPartition:
             )
 
     # -- offsets and sizes ---------------------------------------------------
-    @property
+    # The geometry is a pure function of the two frozen fields, so it is
+    # computed once per partition and cached (``cached_property`` writes the
+    # instance ``__dict__`` directly, which a frozen dataclass permits).  The
+    # cached arrays are read-only: an accidental in-place edit would silently
+    # corrupt every container built on this partition, so it raises instead.
+    @cached_property
     def offsets(self) -> np.ndarray:
-        """Array of length ``n_parts + 1``: block ``i`` is ``[offsets[i], offsets[i+1])``."""
+        """Array of length ``n_parts + 1``: block ``i`` is ``[offsets[i], offsets[i+1])``.
+
+        Cached and read-only (assigning into it raises ``ValueError``).
+        """
         base, extra = divmod(self.n, self.n_parts)
         sizes = np.full(self.n_parts, base, dtype=np.int64)
         sizes[:extra] += 1
-        return np.concatenate(([0], np.cumsum(sizes)))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
+    def _bounds(self) -> Tuple[int, ...]:
+        """``offsets`` as Python ints, for cheap per-rank lookups."""
+        return tuple(int(o) for o in self.offsets)
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        sizes = np.diff(self.offsets)
+        sizes.flags.writeable = False
+        return sizes
 
     def size_of(self, rank: int) -> int:
         """Number of rows owned by *rank* (``|I_i|``)."""
         self._check_rank(rank)
-        offsets = self.offsets
-        return int(offsets[rank + 1] - offsets[rank])
+        bounds = self._bounds
+        return bounds[rank + 1] - bounds[rank]
 
     def sizes(self) -> np.ndarray:
-        """Vector of all block sizes."""
-        offsets = self.offsets
-        return np.diff(offsets)
+        """Vector of all block sizes (cached and read-only)."""
+        return self._sizes
 
     def max_block_size(self) -> int:
         """``ceil(n / N)`` -- appears in the Sec. 4.2 upper bound."""
-        return int(self.sizes().max())
+        return -(-self.n // self.n_parts)
 
     # -- index sets -------------------------------------------------------------
     def range_of(self, rank: int) -> Tuple[int, int]:
         """Half-open global index range ``[start, stop)`` owned by *rank*."""
         self._check_rank(rank)
-        offsets = self.offsets
-        return int(offsets[rank]), int(offsets[rank + 1])
+        bounds = self._bounds
+        return bounds[rank], bounds[rank + 1]
 
     def slice_of(self, rank: int) -> slice:
         """The owned range as a :class:`slice` (for array indexing)."""
@@ -119,9 +140,9 @@ class BlockRowPartition:
 
     def blocks(self) -> List[Tuple[int, int, int]]:
         """List of ``(rank, start, stop)`` triples."""
-        offsets = self.offsets
+        bounds = self._bounds
         return [
-            (rank, int(offsets[rank]), int(offsets[rank + 1]))
+            (rank, bounds[rank], bounds[rank + 1])
             for rank in range(self.n_parts)
         ]
 

@@ -28,7 +28,12 @@ instead of one Python-level operation per scatter edge (of which there can be
 receiver gathers its ghost values from the pool through a precomputed
 position map (one fancy-index per rank).  This mirrors what the pack/unpack
 loops of a real halo exchange do, driven by exactly the ``send_indices`` sets
-of the :class:`~repro.distributed.comm_context.CommunicationContext`.
+of the :class:`~repro.distributed.comm_context.CommunicationContext`.  When
+the input container is resident (every rank holds its view of the
+container's buffer, see :mod:`repro.distributed.blockstore`) and every rank
+still stores the row block the engine was built from, the first step is one
+gather from the whole buffer through the concatenated global sent indices,
+and the products are written straight into the output's views.
 
 **Split-phase execution (comm/compute overlap).**  At build time each rank's
 compressed block is additionally partitioned into a *diagonal* part (owned
@@ -142,6 +147,8 @@ class OverlapCharge:
 class _RankPlan:
     """Precomputed local view of one rank's row block."""
 
+    #: First global row of the block (``offsets[k]``).
+    start: int
     #: Number of locally owned rows/columns (``n_k``).
     n_local: int
     #: ``(n_k, n_k + |G_k|)`` CSR block with compressed column indices.  The
@@ -209,6 +216,8 @@ class SpmvEngine:
                     "cannot build a local view"
                 )
             self._sent_local.append(sent - start)
+        #: Global sent indices in pool order (the resident one-gather staging).
+        self._sent_global = np.concatenate(sent_global)
         self._pool_offsets = pool_offsets
         self._pool = np.empty(int(pool_offsets[-1]))
         #: Weak reference to the vector the pool was last staged from (the
@@ -226,6 +235,9 @@ class SpmvEngine:
 
         # -- per-rank compressed local views
         self._plans: List[_RankPlan] = []
+        #: The row-block objects the plans were built from; while every rank
+        #: still stores exactly these, no matrix block has been lost.
+        self._row_blocks: List[sp.csr_matrix] = []
         column_map = np.full(partition.n, -1, dtype=np.int64)
         for rank in range(n_parts):
             self._plans.append(self._build_rank_plan(rank, column_map))
@@ -265,6 +277,7 @@ class SpmvEngine:
             )
 
         block = self.matrix.row_block(rank)
+        self._row_blocks.append(block)
 
         # Compress columns: owned -> [0, n_local), ghost g -> n_local + pos(g).
         # column_map is a scratch array shared across ranks; only the entries
@@ -307,6 +320,7 @@ class SpmvEngine:
                 )
 
         return _RankPlan(
+            start=start,
             n_local=n_local,
             local=local,
             ghost_indices=ghost,
@@ -454,14 +468,21 @@ class SpmvEngine:
         return self._overlap_charges[n_rhs]
 
     # -- execution ----------------------------------------------------------
-    def _stage_pool_into(self, x, pool: np.ndarray) -> np.ndarray:
-        """Stage *x*'s sent entries into *pool* (one fancy-index per rank).
+    def _stage_pool_into(self, x, pool: np.ndarray) -> Optional[np.ndarray]:
+        """Stage *x*'s sent entries into *pool*; return *x*'s resident buffer.
 
-        Works for vectors (1-D pool) and multi-vectors (``(pool, k)``).
-        Also reads every rank's matrix block through the node memories,
+        Works for vectors (1-D pool) and multi-vectors (``(pool, k)``).  When
+        *x* is resident and every rank still stores the row block the engine
+        was built from, the pool is one gather from *x*'s buffer and the
+        buffer is returned.  Otherwise one fancy-index per rank reads every
+        rank's matrix block and input block through the node memories,
         enforcing failure semantics exactly as the reference path's per-call
-        block reads do.
+        block reads do, and ``None`` is returned.
         """
+        buf = x.resident_buffer()
+        if buf is not None and self.matrix.holds_row_blocks(self._row_blocks):
+            np.take(buf, self._sent_global, axis=0, out=pool)
+            return buf
         pool_offsets = self._pool_offsets
         for rank in range(self.partition.n_parts):
             self.matrix.row_block(rank)
@@ -469,14 +490,33 @@ class SpmvEngine:
             if sent_local.size:
                 pool[pool_offsets[rank]:pool_offsets[rank + 1]] = \
                     x.get_block(rank)[sent_local]
-        return pool
+        return None
 
-    def _stage_pool(self, x: "DistributedVector") -> np.ndarray:
+    def _stage_pool(self, x: "DistributedVector") -> Optional[np.ndarray]:
         """Stage the single-vector send pool and stamp its source."""
         self._pool_source = None
-        self._stage_pool_into(x, self._pool)
+        buf = self._stage_pool_into(x, self._pool)
         self._pool_source = weakref.ref(x)
-        return self._pool
+        return buf
+
+    @staticmethod
+    def _own_block(x, buf: Optional[np.ndarray], plan: _RankPlan,
+                   rank: int) -> np.ndarray:
+        """*rank*'s input rows: from the resident buffer, else guarded."""
+        if buf is not None:
+            return buf[plan.start:plan.start + plan.n_local]
+        return x.get_block(rank)
+
+    @staticmethod
+    def _output_block(out, targets: Optional[List[np.ndarray]],
+                      rank: int) -> Optional[np.ndarray]:
+        """*rank*'s existing output block, or ``None`` if it has none yet."""
+        if targets is not None:
+            return targets[rank]
+        try:
+            return out.get_block(rank)
+        except KeyError:
+            return None
 
     @property
     def send_pool(self) -> np.ndarray:
@@ -523,26 +563,24 @@ class SpmvEngine:
               ) -> "DistributedVector":
         """Numeric ``out = A x`` (no cost charging; see ``distributed_spmv``).
 
-        Reads every rank's matrix and input blocks through the node memories
-        (enforcing failure semantics), stages the send pool, then computes
+        Stages the send pool (reading every rank's matrix and input blocks
+        through the node memories unless both are resident), then computes
         each rank's product as one compressed local matvec, accumulating
-        directly into ``out``'s existing block where possible.  ``out`` may
-        alias ``x``: ghosts are read from the pool staged before any write,
-        and each rank's owned part is copied into the input buffer before
-        its output block is touched.
+        directly into ``out``'s existing block (its view, when ``out`` is
+        resident) where possible.  ``out`` may alias ``x``: ghosts are read
+        from the pool staged before any write, and each rank's owned part is
+        copied into the input buffer before its output block is touched.
         """
-        pool = self._stage_pool(x)
+        buf = self._stage_pool(x)
+        pool = self._pool
+        targets = out.resident_views()
 
-        for rank in range(self.partition.n_parts):
-            plan = self._plans[rank]
+        for rank, plan in enumerate(self._plans):
             xbuf = plan.xbuf
-            xbuf[:plan.n_local] = x.get_block(rank)
+            xbuf[:plan.n_local] = self._own_block(x, buf, plan, rank)
             if plan.ghost_pool_pos.size:
                 xbuf[plan.n_local:] = pool[plan.ghost_pool_pos]
-            try:
-                target = out.get_block(rank)
-            except KeyError:
-                target = None
+            target = self._output_block(out, targets, rank)
             if target is None:
                 out.set_block(rank, self._matvec(plan.local, xbuf))
             else:
@@ -561,33 +599,32 @@ class SpmvEngine:
         :meth:`apply` in the last bits (identical to how PETSc's overlapped
         ``MatMult`` rounds).  ``out`` may alias ``x``.
         """
-        pool = self._stage_pool(x)
+        buf = self._stage_pool(x)
+        pool = self._pool
+        targets = out.resident_views()
 
         # Phase 1: diagonal products "while ghosts are in flight".
         for rank in range(self.partition.n_parts):
             plan = self._ensure_split(rank)
-            xbuf = plan.xbuf
-            xbuf[:plan.n_local] = x.get_block(rank)
-            try:
-                target = out.get_block(rank)
-            except KeyError:
-                target = None
+            own = plan.xbuf[:plan.n_local]
+            own[:] = self._own_block(x, buf, plan, rank)
+            target = self._output_block(out, targets, rank)
             if target is None:
-                out.set_block(
-                    rank, self._matvec(plan.diag, xbuf[:plan.n_local])
-                )
+                out.set_block(rank, self._matvec(plan.diag, own))
             else:
-                self._matvec(plan.diag, xbuf[:plan.n_local], out=target)
+                self._matvec(plan.diag, own, out=target)
 
         # Phase 2: the ghosts "arrived" -- accumulate the off-diagonal part.
-        for rank in range(self.partition.n_parts):
-            plan = self._plans[rank]
+        # Phase 1 wrote every block, so ``out``'s residency is re-read.
+        targets = out.resident_views()
+        for rank, plan in enumerate(self._plans):
             if not plan.ghost_pool_pos.size:
                 continue
             gbuf = plan.xbuf[plan.n_local:]
             gbuf[:] = pool[plan.ghost_pool_pos]
-            self._matvec(plan.offdiag, gbuf, out=out.get_block(rank),
-                         accumulate=True)
+            target = targets[rank] if targets is not None \
+                else out.get_block(rank)
+            self._matvec(plan.offdiag, gbuf, out=target, accumulate=True)
         return out
 
     def apply_block(self, x: "DistributedMultiVector",
@@ -596,11 +633,12 @@ class SpmvEngine:
         """Numeric ``Y = A X`` for ``(n_i, k)`` blocks (batched multi-RHS).
 
         One ghost gather is amortized over all ``k`` columns: the send pool
-        is staged as a ``(pool, k)`` matrix (one 2-D fancy-index per rank)
-        and each rank's product is a single CSR x dense-block kernel.  The
-        per-column results are bit-identical to ``k`` single-vector
-        :meth:`apply` calls (or, with ``split=True``, to ``k``
-        :meth:`apply_split` calls).  ``y`` may alias ``x``.
+        is staged as a ``(pool, k)`` matrix (one gather from the resident
+        buffer, else one 2-D fancy-index per rank) and each rank's product
+        is a single CSR x dense-block kernel.  The per-column results are
+        bit-identical to ``k`` single-vector :meth:`apply` calls (or, with
+        ``split=True``, to ``k`` :meth:`apply_split` calls).  ``y`` may
+        alias ``x``.
         """
         n_rhs = x.n_cols
         pool = self._block_pools.get(n_rhs)
@@ -608,12 +646,13 @@ class SpmvEngine:
             pool = np.empty((self._pool.size, n_rhs))
             self._block_pools[n_rhs] = pool
         self._block_pool_source = None
-        self._stage_pool_into(x, pool)
+        buf = self._stage_pool_into(x, pool)
         self._block_pool_source = (weakref.ref(x), n_rhs)
+        targets = y.resident_views()
 
         for rank in range(self.partition.n_parts):
             plan = (self._ensure_split(rank) if split else self._plans[rank])
-            own = x.get_block(rank)
+            own = self._own_block(x, buf, plan, rank)
             if split:
                 result = plan.diag @ own
                 if plan.ghost_pool_pos.size:
@@ -627,7 +666,10 @@ class SpmvEngine:
                 if plan.ghost_pool_pos.size:
                     xbuf[plan.n_local:] = pool[plan.ghost_pool_pos]
                 result = plan.local @ xbuf
-            y.set_block(rank, result)
+            if targets is not None:
+                targets[rank][...] = result
+            else:
+                y.set_block(rank, result)
         return y
 
     @staticmethod

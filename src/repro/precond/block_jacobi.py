@@ -62,6 +62,7 @@ class BlockJacobiPreconditioner(Preconditioner):
         self._blocks: Dict[int, sp.csr_matrix] = {}
         self._solvers: Dict[int, Callable[[np.ndarray], np.ndarray]] = {}
         self._block_partition: Optional[BlockRowPartition] = None
+        self._block_sizes: Dict[int, int] = {}
 
     # -- setup ----------------------------------------------------------------
     def _setup_impl(self) -> None:
@@ -72,6 +73,10 @@ class BlockJacobiPreconditioner(Preconditioner):
             n_blocks = self.requested_blocks or max(1, min(16, n // 64))
             block_partition = BlockRowPartition(n, n_blocks)
         self._block_partition = block_partition
+        #: Cached block sizes: the hot ``apply_block`` path looks them up
+        #: instead of querying the partition per call.
+        self._block_sizes = dict(enumerate(
+            int(v) for v in block_partition.sizes()))
         self._blocks.clear()
         self._solvers.clear()
         for rank in range(block_partition.n_parts):
@@ -106,13 +111,14 @@ class BlockJacobiPreconditioner(Preconditioner):
     # -- action -------------------------------------------------------------------
     def apply(self, residual: np.ndarray) -> np.ndarray:
         out = np.empty_like(residual, dtype=np.float64)
-        for rank in range(self.block_partition.n_parts):
-            start, stop = self.block_partition.range_of(rank)
+        for rank, start, stop in self.block_partition.blocks():
             out[start:stop] = self._solvers[rank](residual[start:stop])
         return out
 
     def apply_block(self, rank: int, residual_block: np.ndarray) -> np.ndarray:
-        expected = self.block_partition.size_of(rank)
+        expected = self._block_sizes.get(rank)
+        if expected is None:  # before setup() or a bad rank: raises
+            expected = self.block_partition.size_of(rank)
         residual_block = np.asarray(residual_block, dtype=np.float64)
         if residual_block.ndim == 2:
             # Multi-RHS block: one inner solve per column through the
@@ -123,7 +129,8 @@ class BlockJacobiPreconditioner(Preconditioner):
                     f"block for rank {rank} must have {expected} rows, "
                     f"got {residual_block.shape}"
                 )
-            return self._apply_block_columns(rank, residual_block)
+            return self._apply_block_columns(rank, residual_block,
+                                             self._solvers[rank])
         if residual_block.shape != (expected,):
             raise ValueError(
                 f"block for rank {rank} must have shape ({expected},), "
