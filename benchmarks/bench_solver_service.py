@@ -34,6 +34,7 @@ Environment knobs (full mode): ``REPRO_BENCH_SVC_N`` (grid side, default
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -82,6 +83,12 @@ def run_case(n_side: int, n_nodes: int, n_requests: int, k_max: int,
     # both paths, so the numbers compare dispatch + solver time only.
     problem = _fresh_problem(matrix, n_nodes, spec)
     solve(problem, trace[0].rhs, spec=spec)
+    # Each timed window starts from a fresh garbage collection.  A full
+    # collection walks every tracked object of the process (NumPy/SciPy
+    # alone bring ~40k) and takes tens of milliseconds; left to the
+    # allocation counters, it lands in whichever window happens to cross
+    # the threshold and can add ~20% to the shorter coalesced window.
+    gc.collect()
     start = time.perf_counter()
     references = [solve(problem, req.rhs, spec=spec) for req in trace]
     t_direct = time.perf_counter() - start
@@ -91,6 +98,7 @@ def run_case(n_side: int, n_nodes: int, n_requests: int, k_max: int,
     service.register_matrix(
         MATRIX_ID, _fresh_problem(matrix, n_nodes, spec), default_spec=spec)
     service.solve_sync(MATRIX_ID, trace[0].rhs)
+    gc.collect()
     start = time.perf_counter()
     handles = [service.submit(MATRIX_ID, req.rhs, tenant=req.tenant)
                for req in trace]

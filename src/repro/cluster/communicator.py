@@ -194,9 +194,7 @@ class Communicator:
             # (the communicator's own contract); the sanitizer adds the
             # stricter same-shape check on top.
             _sanitizer._ACTIVE.on_collective(
-                self, "allreduce_sum",
-                {r: contributions[r] for r in participants
-                 if r in contributions})
+                self, "allreduce_sum", dict(zip(participants, values)))
         # Summed in rank order with a plain Python loop (not np.sum over a
         # stacked array): the accumulation order is part of the numeric
         # contract that batched reductions match their scalar counterparts

@@ -377,7 +377,7 @@ class BlockPCG:
         # flow (an all-columns breakdown aborts an iteration after its first
         # reduction).
 
-        while np.any(self.active) and global_iterations < self.max_iterations:
+        while self.active.any() and global_iterations < self.max_iterations:
             if _sanitizer._ACTIVE is not None:
                 _sanitizer._ACTIVE.note_iteration(global_iterations,
                                                   solver=self)
@@ -398,7 +398,7 @@ class BlockPCG:
             # Breakdown columns freeze *before* the update, exactly where the
             # sequential solve stops.
             broken = self.active & (pap <= 0.0)
-            if np.any(broken):
+            if broken.any():
                 for j in np.nonzero(broken)[0]:
                     logger.warning(
                         "p^T A p = %.3e <= 0 for column %d at iteration %d; "
@@ -406,7 +406,7 @@ class BlockPCG:
                     )
                 breakdown |= broken
                 self.active &= ~broken
-                if not np.any(self.active):
+                if not self.active.any():
                     break
             alpha = self._masked_ratio(self.rz, pap, self.active)
             # --- lines 4-5: iterate and residual updates (frozen columns get
@@ -431,7 +431,7 @@ class BlockPCG:
             self.p.aypx(beta, self.z)
             self.rz = rz_next
             self.beta_prev = beta
-            self.iterations[self.active] += 1
+            self.iterations += self.active
             global_iterations += 1
 
             if self.fuse_reductions:
@@ -439,8 +439,9 @@ class BlockPCG:
             else:
                 r_norms = self.r.norms2()
                 n_reductions += 1
-            for j in np.nonzero(self.active)[0]:
-                self.residual_histories[j].append(float(r_norms[j]))
+            norms = r_norms.tolist()
+            for j in np.flatnonzero(self.active).tolist():
+                self.residual_histories[j].append(norms[j])
             newly_converged = self.active & (r_norms <= thresholds)
             converged |= newly_converged
             self.active &= ~newly_converged

@@ -38,7 +38,7 @@ dot, so its per-column results are bit-identical to
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -318,11 +318,12 @@ def norms_from_dots(values: np.ndarray) -> np.ndarray:
     values through a fused reduction (:func:`fused_dots`) produce
     bit-identical norms.
     """
-    out = np.empty(len(values))
-    for j, value in enumerate(values):
-        out[j] = (float("nan") if np.isnan(value)
-                  else float(np.sqrt(max(value, 0.0))))
-    return out
+    values = np.asarray(values, dtype=np.float64)
+    # Zero exactly where ``max(value, 0.0)`` would (NaN and -0.0 are kept),
+    # then the correctly rounded elementwise sqrt: each entry equals the
+    # scalar ``DistributedVector.norm2`` of that column.
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(np.where(values < 0.0, 0.0, values))
 
 
 def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
@@ -359,14 +360,7 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
     cluster = first.cluster
     partition = first.partition
     k = first.n_cols
-    contributions: Dict[int, np.ndarray] = {}
-    # Rank-major over all pairs; every pair yields the same participating
-    # ranks (no container is resident while any node is failed).
-    streams = [_column_blocks(x, y, alive_only) for x, y in pairs]
-    for per_pair in zip(*streams):
-        contributions[per_pair[0][0]] = np.array(
-            [mine[j] @ theirs[j] for _, mine, theirs in per_pair
-             for j in range(k)])
+    contributions = _local_dots(pairs, alive_only)
     n_rows = (participating_max_block_size(partition, contributions)
               if alive_only else None)
     for x, _ in pairs:
@@ -378,26 +372,74 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
     return [total[i * k:(i + 1) * k].copy() for i in range(len(pairs))]
 
 
-def _column_blocks(x: DistributedMultiVector, y: DistributedMultiVector,
-                   alive_only: bool
-                   ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """``(rank, x block, y block)`` with each block as contiguous ``(k, n_i)``.
+def _row_dots(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+    """``mine[..., j, :] @ theirs[..., j, :]`` for every row, in one call.
 
-    Row ``j`` of a yielded block is column ``j`` of the rank's rows in one
-    contiguous buffer, so every per-column dot runs the same BLAS kernel on
-    the same data as :meth:`DistributedVector.dot` on that column.
-    Resident multi-vectors are transposed once as a whole; otherwise each
-    rank's block (read through :meth:`NodeBlockStore._paired_blocks`) is
-    transposed on its own.
+    A stacked ``(1, n_i) @ (n_i, 1)`` matmul: NumPy runs every row-times-
+    column product through the same dot kernel as the 1-D ``a @ b`` of
+    :meth:`DistributedVector.dot` (``cblas_ddot`` on unit-stride rows), so
+    each entry is bit-identical to the per-row product, without a Python
+    call per row.
     """
-    mine, theirs = x.resident_buffer(), y.resident_buffer()
-    if mine is not None and theirs is not None:
-        x_cols = np.ascontiguousarray(mine.T)
-        y_cols = x_cols if y is x else np.ascontiguousarray(theirs.T)
-        for rank, start, stop in x.partition.blocks():
-            yield rank, x_cols[:, start:stop], y_cols[:, start:stop]
-        return
-    for rank, x_block, y_block in x._paired_blocks(y, alive_only):
-        x_cols = np.ascontiguousarray(x_block.T)
-        yield rank, x_cols, (x_cols if y is x
-                             else np.ascontiguousarray(y_block.T))
+    return np.matmul(mine[..., np.newaxis, :],
+                     theirs[..., :, np.newaxis])[..., 0, 0]
+
+
+def _rank_dots(x_cols: np.ndarray, y_cols: np.ndarray,
+               partition: BlockRowPartition) -> np.ndarray:
+    """``(k, N)`` per-rank partial dots of the rows of two ``(k, n)`` arrays.
+
+    Each run of equally sized blocks (:attr:`BlockRowPartition.size_runs`)
+    is viewed as ``(k, count, size)``, so one stacked product covers all
+    ranks of the run.
+    """
+    k = x_cols.shape[0]
+    parts = []
+    for start, count, size in partition.size_runs:
+        rows = slice(start, start + count * size)
+        shape = (k, count, size)
+        parts.append(_row_dots(x_cols[:, rows].reshape(shape),
+                               y_cols[:, rows].reshape(shape)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _local_dots(pairs: List[Tuple[DistributedMultiVector,
+                                  DistributedMultiVector]],
+                alive_only: bool) -> Dict[int, np.ndarray]:
+    """Each participating rank's per-column partial dots of all *pairs*.
+
+    A rank's contribution concatenates the pairs' ``k`` partials in pair
+    order.  Every column is first made a contiguous row of a ``(k, n_i)``
+    block, so each partial runs the same BLAS kernel on the same data as
+    :meth:`DistributedVector.dot` on that column.  When every container is
+    resident, each distinct container is transposed once as a whole and
+    the ranks read column slices of it; otherwise the blocks are read
+    rank-major through :meth:`NodeBlockStore._paired_blocks` (raising at
+    the first lost block as before) and each is transposed on its own.
+    Resident contributions are the columns of one ``(m * k, N)`` array.
+    """
+    columns: Dict[int, np.ndarray] = {}
+    for vec in (vec for pair in pairs for vec in pair):
+        if id(vec) in columns:
+            continue
+        buf = vec.resident_buffer()
+        if buf is None:
+            break
+        columns[id(vec)] = np.ascontiguousarray(buf.T)
+    else:
+        partition = pairs[0][0].partition
+        partials = [_rank_dots(columns[id(x)], columns[id(y)], partition)
+                    for x, y in pairs]
+        stacked = partials[0] if len(partials) == 1 else np.concatenate(partials)
+        return dict(enumerate(stacked.T))
+    contributions = {}
+    streams = [x._paired_blocks(y, alive_only) for x, y in pairs]
+    for per_pair in zip(*streams):
+        partials = []
+        for _, x_block, y_block in per_pair:
+            x_cols = np.ascontiguousarray(x_block.T)
+            y_cols = (x_cols if y_block is x_block
+                      else np.ascontiguousarray(y_block.T))
+            partials.append(_row_dots(x_cols, y_cols))
+        contributions[per_pair[0][0]] = np.concatenate(partials)
+    return contributions

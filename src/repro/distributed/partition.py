@@ -72,6 +72,22 @@ class BlockRowPartition:
         sizes.flags.writeable = False
         return sizes
 
+    @cached_property
+    def size_runs(self) -> Tuple[Tuple[int, int, int], ...]:
+        """``(start, count, size)`` of each run of equally sized blocks.
+
+        At most two runs: the first ``n mod N`` blocks of ``ceil(n/N)`` rows,
+        then the rest of ``floor(n/N)`` rows.  A run of ``count`` blocks of
+        ``size`` rows starting at row ``start`` lets an ``(n, ...)`` array's
+        rows ``[start, start + count * size)`` be viewed as one
+        ``(count, size, ...)`` array.
+        """
+        base, extra = divmod(self.n, self.n_parts)
+        runs = [(extra * (base + 1), self.n_parts - extra, base)]
+        if extra:
+            runs.insert(0, (0, extra, base + 1))
+        return tuple(runs)
+
     def size_of(self, rank: int) -> int:
         """Number of rows owned by *rank* (``|I_i|``)."""
         self._check_rank(rank)

@@ -665,6 +665,12 @@ class SpmvEngine:
                 xbuf[:plan.n_local] = own
                 if plan.ghost_pool_pos.size:
                     xbuf[plan.n_local:] = pool[plan.ghost_pool_pos]
+                if targets is not None:
+                    # Straight into the output view: the kernel ``@`` runs,
+                    # accumulated onto zeros, so the bits are the same.
+                    targets[rank][...] = 0.0
+                    self._matmat_accumulate(plan.local, xbuf, targets[rank])
+                    continue
                 result = plan.local @ xbuf
             if targets is not None:
                 targets[rank][...] = result

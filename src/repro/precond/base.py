@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,25 +100,20 @@ class Preconditioner(abc.ABC):
             f"{self.name} is not block-diagonal; apply_block is unavailable"
         )
 
-    def _apply_block_columns(self, rank: int, residual_block: np.ndarray,
-                             solve: Optional[Callable[[np.ndarray], np.ndarray]]
-                             = None) -> np.ndarray:
+    def _apply_block_columns(self, rank: int,
+                             residual_block: np.ndarray) -> np.ndarray:
         """Generic 2-D ``apply_block`` path: one 1-D application per column.
 
-        Each column is handed to the single-vector path as a contiguous
-        array (a row of one transposed copy), which guarantees the
-        per-column bit-identity the block-Krylov equivalence contract
-        requires (a strided view could take a different BLAS kernel and
-        round differently).  *solve* is that 1-D path for one column of an
-        already validated block; it defaults to ``apply_block(rank, .)``.
+        Each column is handed to the single-vector path as a fresh
+        contiguous array, which guarantees the per-column bit-identity the
+        block-Krylov equivalence contract requires (a strided view could
+        take a different BLAS kernel and round differently).
         """
-        if solve is None:
-            def solve(column: np.ndarray) -> np.ndarray:
-                return self.apply_block(rank, column)
         out = np.empty_like(residual_block, dtype=np.float64)
-        columns = np.ascontiguousarray(residual_block.T)
         for j in range(residual_block.shape[1]):
-            out[:, j] = solve(columns[j])
+            out[:, j] = self.apply_block(
+                rank, np.ascontiguousarray(residual_block[:, j])
+            )
         return out
 
     @property

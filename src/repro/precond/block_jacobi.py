@@ -62,7 +62,6 @@ class BlockJacobiPreconditioner(Preconditioner):
         self._blocks: Dict[int, sp.csr_matrix] = {}
         self._solvers: Dict[int, Callable[[np.ndarray], np.ndarray]] = {}
         self._block_partition: Optional[BlockRowPartition] = None
-        self._block_sizes: Dict[int, int] = {}
 
     # -- setup ----------------------------------------------------------------
     def _setup_impl(self) -> None:
@@ -73,10 +72,6 @@ class BlockJacobiPreconditioner(Preconditioner):
             n_blocks = self.requested_blocks or max(1, min(16, n // 64))
             block_partition = BlockRowPartition(n, n_blocks)
         self._block_partition = block_partition
-        #: Cached block sizes: the hot ``apply_block`` path looks them up
-        #: instead of querying the partition per call.
-        self._block_sizes = dict(enumerate(
-            int(v) for v in block_partition.sizes()))
         self._blocks.clear()
         self._solvers.clear()
         for rank in range(block_partition.n_parts):
@@ -116,21 +111,25 @@ class BlockJacobiPreconditioner(Preconditioner):
         return out
 
     def apply_block(self, rank: int, residual_block: np.ndarray) -> np.ndarray:
-        expected = self._block_sizes.get(rank)
-        if expected is None:  # before setup() or a bad rank: raises
-            expected = self.block_partition.size_of(rank)
+        expected = self.block_partition.size_of(rank)
         residual_block = np.asarray(residual_block, dtype=np.float64)
         if residual_block.ndim == 2:
-            # Multi-RHS block: one inner solve per column through the
-            # generic column path (bit-identical per column to the 1-D
-            # path; a multi-RHS sparse-LU solve could round differently).
+            # Multi-RHS block: one inner solve per column, each on a
+            # contiguous row of one transposed copy, so column j is
+            # bit-identical to the 1-D path (a multi-RHS sparse-LU solve
+            # rounds differently).  The result is the transpose of the
+            # stacked per-column solutions, an (n_i, k) view.
             if residual_block.shape[0] != expected:
                 raise ValueError(
                     f"block for rank {rank} must have {expected} rows, "
                     f"got {residual_block.shape}"
                 )
-            return self._apply_block_columns(rank, residual_block,
-                                             self._solvers[rank])
+            solver = self._solvers[rank]
+            columns = np.ascontiguousarray(residual_block.T)
+            out = np.empty_like(columns)
+            for j, column in enumerate(columns):
+                out[j] = solver(column)
+            return out.T
         if residual_block.shape != (expected,):
             raise ValueError(
                 f"block for rank {rank} must have shape ({expected},), "

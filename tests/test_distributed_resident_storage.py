@@ -25,6 +25,8 @@ from repro.distributed import (
     BlockRowPartition,
     DistributedMultiVector,
     DistributedVector,
+    fused_dots,
+    norms_from_dots,
     swap_names,
 )
 from repro.distributed.blockstore import NodeBlockStore
@@ -290,6 +292,52 @@ class TestCachedPartitionGeometry:
         a, b = BlockRowPartition(10, 3), BlockRowPartition(10, 3)
         a.offsets  # populate the cache on one side only
         assert a == b and hash(a) == hash(b)
+
+
+    @pytest.mark.parametrize("n, n_parts", [(16, 4), (18, 4), (10, 3), (7, 1),
+                                             (5, 5)])
+    def test_size_runs_cover_the_blocks(self, n, n_parts):
+        partition = BlockRowPartition(n, n_parts)
+        assert partition.size_runs is partition.size_runs
+        rows, ranks = 0, []
+        for start, count, size in partition.size_runs:
+            assert start == rows and count >= 1
+            ranks += [size] * count
+            rows += count * size
+        assert rows == n
+        assert ranks == list(partition.sizes())
+
+
+class TestBlockReductions:
+    """Resident multi-vector reductions match the single-vector kernels."""
+
+    @pytest.mark.parametrize("n, n_parts", [(48, 4), (50, 4), (13, 1), (9, 9)])
+    def test_dots_match_column_dots(self, n, n_parts):
+        cluster = VirtualCluster(n_parts)
+        partition = BlockRowPartition(n, n_parts)
+        rng = np.random.default_rng(n)
+        xs, ys = rng.standard_normal((2, n, 5))
+        x = DistributedMultiVector.from_global(cluster, partition, "x", xs)
+        y = DistributedMultiVector.from_global(cluster, partition, "y", ys)
+        assert x.resident_buffer() is not None
+        fused = fused_dots([(x, y), (x, x)])
+        for j in range(5):
+            xj = DistributedVector.from_global(cluster, partition, f"x{j}",
+                                               xs[:, j])
+            yj = DistributedVector.from_global(cluster, partition, f"y{j}",
+                                               ys[:, j])
+            assert fused[0][j] == xj.dot(yj)
+            assert fused[1][j] == xj.dot(xj)
+            assert x.dots(y)[j] == xj.dot(yj)
+
+    def test_norms_from_dots_matches_scalar_norm(self):
+        values = np.array([4.0, 2.0, -1e-300, -0.0, 0.0, np.nan, np.inf])
+        norms = norms_from_dots(values)
+        for value, norm in zip(values, norms):
+            expected = (float("nan") if np.isnan(value)
+                        else float(np.sqrt(max(value, 0.0))))
+            assert np.array_equal(norm, expected, equal_nan=True)
+            assert np.signbit(norm) == np.signbit(expected)
 
 
 class TestScalarAllreduce:

@@ -139,3 +139,46 @@ class TestAsPreconditionerInPCG:
         assert np.allclose(prec.x, plain.x, atol=1e-6)
         # Block Jacobi must not blow up the iteration count on this easy problem.
         assert prec.iterations <= 2 * plain.iterations
+
+
+class TestMultiRhsBlock:
+    def test_two_d_block_is_column_exact_on_m5(self):
+        """The 2-D path equals per-column 1-D solves on a supernodal block."""
+        from repro.matrices import build_matrix
+        a = build_matrix("M5", n=1000)
+        part = BlockRowPartition(a.shape[0], 4)
+        p = BlockJacobiPreconditioner()
+        p.setup(a, part)
+        block = np.random.default_rng(0).standard_normal((part.size_of(1), 8))
+        out = p.apply_block(1, block)
+        for j in range(8):
+            assert np.array_equal(
+                out[:, j], p.apply_block(1, np.ascontiguousarray(block[:, j])))
+
+    def test_multi_rhs_superlu_is_not_column_exact(self):
+        """Why the 2-D path solves column by column.
+
+        For several right-hand sides SuperLU runs its supernodal triangular
+        updates through BLAS-3 kernels (``dtrsm``/``dgemm``) instead of the
+        BLAS-2 ones (``dtrsv``/``dgemv``) of a single right-hand side, so a
+        column of ``lu.solve(B)`` can differ in the last bits from
+        ``lu.solve(B[:, j])``.  Whether it does depends on the BLAS build;
+        where none of the systems below shows a difference there is nothing
+        to demonstrate and the test skips.
+        """
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+        from repro.matrices import build_matrix
+        systems = [build_matrix("M5", n=1000)[:250, :250]]
+        for seed in range(20):
+            r = sp.random(200, 200, density=0.04, random_state=seed)
+            systems.append(r + r.T + 8 * sp.eye(200))
+        differing = 0
+        for seed, a in enumerate(systems):
+            lu = splu(sp.csc_matrix(a))
+            b = np.random.default_rng(seed).standard_normal((a.shape[0], 8))
+            columns = np.column_stack(
+                [lu.solve(np.ascontiguousarray(b[:, j])) for j in range(8)])
+            differing += not np.array_equal(lu.solve(b), columns)
+        if not differing:
+            pytest.skip("this BLAS build solves multi-RHS column-exactly")
