@@ -151,7 +151,10 @@ class DistributedMatrix:
 
         Engines are cached per context object and invalidated whenever a row
         block is rewritten (``structure_version`` changes), e.g. by
-        ``restore_block_to_node`` during failure recovery.  Returns ``None``
+        ``restore_block_to_node`` during failure recovery.  The replacement
+        engine reuses the invalidated one's per-rank plans wherever the rank
+        still stores the same block object and builds only the others.
+        Returns ``None``
         when *context* does not cover the matrix's off-diagonal columns --
         callers then fall back to the dense-gather reference path, whose
         numerics never depend on the context.
@@ -161,8 +164,13 @@ class DistributedMatrix:
             return entry[1]
         from .spmv_engine import ContextMismatchError, SpmvEngine
 
+        # A stale engine for this very context hands over the plans of the
+        # ranks whose row blocks were not rewritten since it was built.
+        stale = self._spmv_engines.get(id(context))
+        previous = stale[1] if stale is not None and stale[0] is context \
+            else None
         try:
-            engine = SpmvEngine(self, context)
+            engine = SpmvEngine(self, context, previous=previous)
         except ContextMismatchError:
             engine = None
         if len(self._spmv_engines) >= self._ENGINE_CACHE_SIZE:

@@ -77,7 +77,12 @@ object (see :meth:`DistributedMatrix.spmv_engine`).  Every row-block write
 path) bumps the matrix's ``structure_version``; a cached engine whose
 ``version`` is stale is discarded and rebuilt from the current blocks on the
 next use, so recovery that re-installs matrix blocks on replacement nodes
-stays correct without any explicit notification.
+stays correct without any explicit notification.  The rebuild is per rank:
+the new engine keeps the stale engine's plan for every rank whose node still
+stores the identical block object, and builds plans only for the ranks whose
+block was replaced by another object.  Reliable storage keeps the very object
+a rank was set up with, so a recovery that restores it rebuilds no plan.  The
+cached charges are always recomputed from the current blocks.
 
 Failure semantics are preserved: every execution path touches every rank's
 matrix block and input-vector block through the node memories, so an SpMV
@@ -183,10 +188,16 @@ class SpmvEngine:
         The SpMV scatter plan.  Its edges must cover every off-diagonal
         column of every row block; otherwise :class:`ContextMismatchError`
         is raised.
+    previous:
+        An earlier engine for the same matrix and context (typically the
+        one a row-block write just invalidated).  Every rank whose node
+        still stores the very block object ``previous`` was built from
+        keeps its plan; only the other ranks' plans are rebuilt.
     """
 
     def __init__(self, matrix: "DistributedMatrix",
-                 context: "CommunicationContext"):
+                 context: "CommunicationContext",
+                 previous: Optional["SpmvEngine"] = None):
         partition = matrix.partition
         if not partition.is_compatible_with(context.partition):
             raise ContextMismatchError(
@@ -238,9 +249,21 @@ class SpmvEngine:
         #: The row-block objects the plans were built from; while every rank
         #: still stores exactly these, no matrix block has been lost.
         self._row_blocks: List[sp.csr_matrix] = []
+        if previous is not None and (previous.matrix is not matrix
+                                     or previous.context is not context):
+            previous = None
         column_map = np.full(partition.n, -1, dtype=np.int64)
         for rank in range(n_parts):
-            self._plans.append(self._build_rank_plan(rank, column_map))
+            block = matrix.row_block(rank)
+            if previous is not None and previous._row_blocks[rank] is block:
+                plan = previous._plans[rank]
+                # The split parts copy the block's values; like a fresh
+                # build, pick up in-place edits on the next split-phase use.
+                plan.diag = plan.offdiag = None
+            else:
+                plan = self._build_rank_plan(rank, block, column_map)
+            self._row_blocks.append(block)
+            self._plans.append(plan)
         self._nnz = [int(plan.local.nnz) for plan in self._plans]
 
         # -- cached static charges (identical values to the per-call
@@ -260,7 +283,8 @@ class SpmvEngine:
         self._overlap_charges: Dict[int, OverlapCharge] = {}
 
     # -- construction -------------------------------------------------------
-    def _build_rank_plan(self, rank: int, column_map: np.ndarray) -> _RankPlan:
+    def _build_rank_plan(self, rank: int, block: sp.csr_matrix,
+                         column_map: np.ndarray) -> _RankPlan:
         partition = self.partition
         context = self.context
         start, stop = partition.range_of(rank)
@@ -275,9 +299,6 @@ class SpmvEngine:
                 f"scatter plan ships rank {rank} elements it already owns; "
                 "cannot build a local view"
             )
-
-        block = self.matrix.row_block(rank)
-        self._row_blocks.append(block)
 
         # Compress columns: owned -> [0, n_local), ghost g -> n_local + pos(g).
         # column_map is a scratch array shared across ranks; only the entries

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 import enum
+from collections.abc import Sequence
 from typing import Iterable, Optional
 
 import numpy as np
@@ -184,5 +185,11 @@ class Preconditioner(abc.ABC):
 
 
 def as_indices(indices: Iterable[int]) -> np.ndarray:
-    """Normalise an index collection to a sorted unique int64 array."""
-    return np.unique(np.asarray(list(indices), dtype=np.int64))
+    """Normalise an index collection to a sorted unique int64 array.
+
+    Arrays and sequences go to numpy directly; only other iterables (sets,
+    generators) are materialised through a list first.
+    """
+    if not isinstance(indices, (np.ndarray, Sequence)):
+        indices = list(indices)
+    return np.unique(np.asarray(indices, dtype=np.int64))

@@ -14,7 +14,7 @@ which is what makes the ESR reconstruction of the residual cheap.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,52 +160,63 @@ class BlockJacobiPreconditioner(Preconditioner):
         only an approximation of this ``M``; the reconstruction is then
         approximate as well, consistent with the finite-precision discussion
         in Sec. 6 of the paper.
+
+        Assembled per owning rank: one row slice of each owner's cached
+        diagonal block, shifted into global columns.
         """
-        idx = as_indices(indices)
-        n = self.matrix.shape[0]
-        rows = []
-        for gi in idx:
-            rank = self.block_partition.owner_of_scalar(int(gi))
-            start, stop = self.block_partition.range_of(rank)
-            local_row = self._blocks[rank][int(gi) - start, :]
-            padded = sp.csr_matrix(
-                (local_row.data, local_row.indices + start,
-                 np.array([0, local_row.nnz])),
-                shape=(1, n),
-            )
-            rows.append(padded)
-        if not rows:
-            return sp.csr_matrix((0, n))
-        return sp.vstack(rows, format="csr")
+        return self._assemble_rows(
+            as_indices(indices),
+            lambda rank, local_rows: self._blocks[rank][local_rows],
+        )
 
     def inverse_rows(self, indices: np.ndarray) -> sp.csr_matrix:
-        """Rows of ``P = M^{-1}`` (computed per block by solving unit systems).
+        """Rows of ``P = M^{-1}`` (computed per block by a dense inverse).
 
         Only practical for moderate block sizes; the resilient solver prefers
         the FORWARD form, this method mainly supports testing the INVERSE
-        reconstruction path (Alg. 2 verbatim).
+        reconstruction path (Alg. 2 verbatim).  Every row stores all ``n_i``
+        entries of its block, explicit zeros included.
         """
-        idx = as_indices(indices)
+        def inverse_slice(rank: int, local_rows: np.ndarray) -> sp.csr_matrix:
+            dense = np.linalg.inv(self._blocks[rank].toarray())[local_rows]
+            n_rows, width = dense.shape
+            return sp.csr_matrix(
+                (dense.ravel(), np.tile(np.arange(width), n_rows),
+                 np.arange(0, n_rows * width + 1, width)),
+                shape=(n_rows, width),
+            )
+
+        return self._assemble_rows(as_indices(indices), inverse_slice)
+
+    def _assemble_rows(self, idx: np.ndarray,
+                       block_rows: Callable[[int, np.ndarray], sp.csr_matrix]
+                       ) -> sp.csr_matrix:
+        """Stack per-rank row slices of block-local operators into ``(|idx|, n)``.
+
+        *idx* is sorted and unique, so one ``owner_of`` call splits it into
+        runs of equal owner.  ``block_rows(rank, local_rows)`` returns the
+        rows of *rank*'s block operator in block-local columns; each slice is
+        shifted by the block start and the slices are concatenated in order,
+        keeping every row's stored entries as the slice stores them.
+        """
         n = self.matrix.shape[0]
-        rows = []
-        by_rank: Dict[int, List[int]] = {}
-        for gi in idx:
-            rank = self.block_partition.owner_of_scalar(int(gi))
-            by_rank.setdefault(rank, []).append(int(gi))
-        row_map: Dict[int, sp.csr_matrix] = {}
-        for rank, global_rows in by_rank.items():
-            start, stop = self.block_partition.range_of(rank)
-            block = self._blocks[rank].toarray()
-            inv = np.linalg.inv(block)
-            for gi in global_rows:
-                data = inv[gi - start, :]
-                padded = sp.csr_matrix(
-                    (data, (np.zeros(data.size, dtype=int),
-                            np.arange(start, stop))),
-                    shape=(1, n),
-                )
-                row_map[gi] = padded
-        rows = [row_map[int(gi)] for gi in idx]
-        if not rows:
+        if idx.size == 0:
             return sp.csr_matrix((0, n))
-        return sp.vstack(rows, format="csr")
+        partition = self.block_partition
+        owners = partition.owner_of(idx)
+        bounds = np.concatenate(
+            ([0], np.flatnonzero(np.diff(owners)) + 1, [idx.size])
+        )
+        data, columns, row_nnz = [], [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rank = int(owners[lo])
+            start, _ = partition.range_of(rank)
+            rows = block_rows(rank, idx[lo:hi] - start)
+            data.append(rows.data)
+            columns.append(rows.indices.astype(np.int64) + start)
+            row_nnz.append(np.diff(rows.indptr))
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz))))
+        return sp.csr_matrix(
+            (np.concatenate(data), np.concatenate(columns), indptr),
+            shape=(idx.size, n),
+        )

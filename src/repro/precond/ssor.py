@@ -75,15 +75,26 @@ class SSORPreconditioner(Preconditioner):
     def form(self) -> PreconditionerForm:
         return PreconditionerForm.FORWARD
 
+    def _middle(self) -> sp.dia_matrix:
+        """The diagonal factor ``(w/(2-w)) D^{-1}`` of the SSOR operator."""
+        w = self.omega
+        return sp.diags((w / (2.0 - w)) / self._diag)
+
     def forward_matrix(self) -> sp.csr_matrix:
         """The explicit SSOR operator ``M`` (small problems / tests only)."""
-        w = self.omega
-        middle = sp.diags((w / (2.0 - w)) / self._diag)
-        return sp.csr_matrix(self._lower @ middle @ self._upper)
+        return sp.csr_matrix(self._lower @ self._middle() @ self._upper)
 
     def forward_rows(self, indices: np.ndarray) -> sp.csr_matrix:
+        """Rows ``M[indices, :]`` without forming ``M``.
+
+        A sparse product computes each output row from the same row of its
+        left operand alone, so ``(lower[idx] @ middle) @ upper`` equals the
+        rows ``idx`` of :meth:`forward_matrix` bit for bit.
+        """
         idx = as_indices(indices)
-        return self.forward_matrix()[idx, :]
+        return sp.csr_matrix(
+            (self._lower[idx, :] @ self._middle()) @ self._upper
+        )
 
 
 class SplitCholeskyPreconditioner(Preconditioner):
@@ -115,6 +126,7 @@ class SplitCholeskyPreconditioner(Preconditioner):
         return self._factor
 
     def forward_rows(self, indices: np.ndarray) -> sp.csr_matrix:
+        """Rows ``M[indices, :]`` as ``L[idx] @ L^T``, without forming ``M``
+        (equal to the rows of ``L @ L^T`` bit for bit)."""
         idx = as_indices(indices)
-        m = sp.csr_matrix(self._factor @ self._factor.T)
-        return m[idx, :]
+        return sp.csr_matrix(self._factor[idx, :] @ self._factor.T)

@@ -29,6 +29,7 @@ from repro.distributed import (
     DistributedVector,
     distributed_spmv,
 )
+from repro.distributed.spmv_engine import SpmvEngine
 from repro.matrices import build_matrix, poisson_2d
 from repro.precond import make_preconditioner
 
@@ -280,6 +281,149 @@ class TestCache:
         y = DistributedVector.zeros(cluster, partition, "y")
         distributed_spmv(dist, x, y, empty_ctx, charge=False)
         assert np.array_equal(y.to_global(), matrix @ np.arange(144.0))
+
+
+def _rewrite_block_in_storage(dist, rank):
+    """Let reliable storage hold a distinct copy of *rank*'s row block, so
+    restoring the rank installs a new object on its node."""
+    copy = dist.row_block(rank).copy()
+    dist.cluster.storage.put_block(dist._storage_name(), rank, copy)
+    return copy
+
+
+def _fresh_equivalent(dist, ctx, engine, values):
+    """Check *engine* against one built from scratch: output and charges."""
+    fresh = SpmvEngine(dist, ctx)
+    partition = dist.partition
+    outputs = []
+    for eng in (engine, fresh):
+        x = DistributedVector.from_global(dist.cluster, partition, "rx",
+                                          values)
+        y = DistributedVector.zeros(dist.cluster, partition, "ry")
+        outputs.append(eng.apply(x, y).to_global())
+        y_split = DistributedVector.zeros(dist.cluster, partition, "rs")
+        outputs.append(eng.apply_split(x, y_split).to_global())
+    assert np.array_equal(outputs[0], outputs[2])
+    assert np.array_equal(outputs[1], outputs[3])
+    assert engine.halo_cost == fresh.halo_cost
+    assert engine.compute_cost == fresh.compute_cost
+    assert engine.overlap_charge(1) == fresh.overlap_charge(1)
+    assert engine.overlap_charge(3) == fresh.overlap_charge(3)
+
+
+class TestPlanReuse:
+    """A rebuild after a row-block write keeps the other ranks' plans."""
+
+    def _setup(self, n_parts=6):
+        matrix = build_matrix("M5", n=600)
+        partition, ((cluster, dist, ctx), _) = make_pair(matrix, n_parts)
+        values = np.random.default_rng(3).standard_normal(matrix.shape[0])
+        return matrix, dist, ctx, values
+
+    def test_restored_ranks_rebuilt_survivors_reused(self):
+        matrix, dist, ctx, values = self._setup()
+        stale = dist.spmv_engine(ctx)
+        stale.diag_block(0)
+        # The split parts copy the values, so an in-place edit is only seen
+        # once the next engine rebuilds them -- also for a reused plan.
+        dist.row_block(0).data *= 1.5
+        for rank in (1, 4):
+            _rewrite_block_in_storage(dist, rank)
+        dist.cluster.fail_nodes([1, 4])
+        dist.cluster.replace_nodes([1, 4])
+        for rank in (1, 4):
+            dist.restore_block_to_node(rank, charge=False)
+        engine = dist.spmv_engine(ctx)
+        assert engine is not stale
+        for rank in range(6):
+            reused = engine._plans[rank] is stale._plans[rank]
+            assert reused == (rank not in (1, 4)), rank
+        _fresh_equivalent(dist, ctx, engine, values)
+
+    def test_restore_of_the_stored_object_rebuilds_nothing(self):
+        # Reliable storage hands back the very block the node held, so the
+        # plans built from it stay valid through a failure and restore.
+        matrix, dist, ctx, values = self._setup()
+        stale = dist.spmv_engine(ctx)
+        dist.cluster.fail_nodes([2])
+        dist.cluster.replace_nodes([2])
+        dist.restore_block_to_node(2, charge=False)
+        engine = dist.spmv_engine(ctx)
+        assert engine is not stale
+        assert all(new is old for new, old in
+                   zip(engine._plans, stale._plans))
+        _fresh_equivalent(dist, ctx, engine, values)
+
+    def test_rewriting_a_surviving_block_rebuilds_its_plan(self):
+        matrix, dist, ctx, values = self._setup()
+        stale = dist.spmv_engine(ctx)
+        block = _rewrite_block_in_storage(dist, 3)
+        block.data *= 2.0
+        dist.restore_block_to_node(3, charge=False)  # no failure involved
+        engine = dist.spmv_engine(ctx)
+        assert engine._plans[3] is not stale._plans[3]
+        assert all(engine._plans[r] is stale._plans[r]
+                   for r in range(6) if r != 3)
+        _fresh_equivalent(dist, ctx, engine, values)
+        scaled = matrix.tolil()
+        scaled[dist.partition.slice_of(3), :] *= 2.0
+        x = DistributedVector.from_global(dist.cluster, dist.partition, "x",
+                                          values)
+        y = DistributedVector.zeros(dist.cluster, dist.partition, "y")
+        distributed_spmv(dist, x, y, ctx, charge=False)
+        assert np.array_equal(y.to_global(), scaled.tocsr() @ values)
+
+    def test_other_context_gets_no_plans(self):
+        matrix, dist, ctx, values = self._setup()
+        stale = dist.spmv_engine(ctx)
+        other = CommunicationContext.from_matrix(dist)
+        engine = SpmvEngine(dist, other, previous=stale)
+        assert all(new is not old for new, old in
+                   zip(engine._plans, stale._plans))
+
+    def test_recovery_solve_matches_rebuild_from_scratch(self, monkeypatch):
+        """A recovery solve gives the same iterates and charges whether the
+        rebuilt engine reuses plans or builds every rank anew."""
+        build = SpmvEngine._build_rank_plan
+        init = SpmvEngine.__init__
+        builds = []
+
+        def counting_build(self, rank, block, column_map):
+            builds.append(rank)
+            return build(self, rank, block, column_map)
+
+        monkeypatch.setattr(SpmvEngine, "_build_rank_plan", counting_build)
+        runs = []
+        for reuse in (True, False):
+            if not reuse:
+                monkeypatch.setattr(
+                    SpmvEngine, "__init__",
+                    lambda self, matrix, context, previous=None:
+                    init(self, matrix, context),
+                )
+            builds.clear()
+            problem = distribute_problem(
+                poisson_2d(16), n_nodes=5, seed=0,
+                machine=MachineModel(jitter_rel_std=0.0),
+            )
+            for rank in (1, 3):
+                _rewrite_block_in_storage(problem.matrix, rank)
+            precond = make_preconditioner("block_jacobi")
+            precond.setup(problem.matrix.to_global(), problem.partition)
+            solver = ResilientPCG(problem.matrix, problem.rhs, precond,
+                                  phi=2, context=problem.context,
+                                  failure_injector=FailureInjector(
+                                      [FailureEvent(5, (1, 3))]))
+            result = solver.solve()
+            ledger = problem.cluster.ledger
+            runs.append((sorted(builds), result.x, result.residual_norms,
+                         dict(ledger.times), dict(ledger.messages),
+                         dict(ledger.elements)))
+        reused, scratch = runs
+        assert reused[0] == [0, 1, 1, 2, 3, 3, 4]
+        assert scratch[0] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+        assert np.array_equal(reused[1], scratch[1])
+        assert reused[2:] == scratch[2:]
 
 
 class TestAfterRecovery:

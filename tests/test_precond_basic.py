@@ -14,6 +14,7 @@ from repro.precond import (
     make_preconditioner,
     PRECONDITIONERS,
 )
+from repro.precond.base import as_indices
 
 
 @pytest.fixture
@@ -118,6 +119,29 @@ class TestJacobi:
         jacobi.setup(sp.csr_matrix(a))
         prec = pcg(a, b, preconditioner=jacobi, rtol=1e-8, max_iterations=3000)
         assert prec.iterations < plain.iterations
+
+
+class TestAsIndices:
+    @pytest.mark.parametrize("indices", [
+        [7, 2, 7, 0],
+        (7, 2, 7, 0),
+        {7, 2, 0},
+        (i for i in [7, 2, 7, 0]),
+        np.array([7, 2, 7, 0]),
+        np.array([7, 2, 7, 0], dtype=np.int32),
+        range(0, 8, 7),
+    ], ids=["list", "tuple", "set", "generator", "ndarray", "int32",
+            "range"])
+    def test_every_collection_gives_sorted_unique_int64(self, indices):
+        out = as_indices(indices)
+        expected = [0, 7] if isinstance(indices, range) else [0, 2, 7]
+        assert out.dtype == np.int64
+        assert out.tolist() == expected
+
+    def test_empty(self):
+        for empty in ([], (), set(), np.array([], dtype=np.int64)):
+            out = as_indices(empty)
+            assert out.dtype == np.int64 and out.size == 0
 
 
 class TestBaseProtocol:

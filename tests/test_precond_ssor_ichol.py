@@ -143,3 +143,47 @@ class TestSplitCholesky:
         p = SplitCholeskyPreconditioner()
         p.setup(matrix)
         assert p.work_nnz() > 0
+
+
+class TestRowsWithoutTheFullOperator:
+    """``forward_rows`` computes only the requested rows, yet equals the
+    slice of the full operator array for array."""
+
+    @staticmethod
+    def assert_same_csr(actual, expected):
+        assert actual.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(actual, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @staticmethod
+    def full_operator(p):
+        if isinstance(p, SSORPreconditioner):
+            return p.forward_matrix()
+        factor = p.split_factor()
+        return sp.csr_matrix(factor @ factor.T)
+
+    @pytest.mark.parametrize("make", [lambda: SSORPreconditioner(omega=1.3),
+                                      SplitCholeskyPreconditioner],
+                             ids=["ssor", "split_ic0"])
+    @pytest.mark.parametrize("indices", [[], [0], [63, 5, 5, 17],
+                                         list(range(10, 40)), list(range(64))],
+                             ids=["empty", "first", "unsorted_dup",
+                                  "range", "all"])
+    def test_rows_equal_full_operator_slice(self, matrix, make, indices):
+        p = make()
+        p.setup(matrix)
+        idx = np.unique(np.asarray(indices, dtype=np.int64))
+        self.assert_same_csr(p.forward_rows(indices),
+                             self.full_operator(p)[idx, :])
+
+    def test_irregular_pattern(self):
+        from repro.matrices import graph_laplacian_spd
+
+        a = graph_laplacian_spd(150, avg_degree=6, seed=2)
+        for p in (SSORPreconditioner(omega=0.8), SplitCholeskyPreconditioner()):
+            p.setup(a)
+            idx = np.array([3, 40, 41, 42, 149])
+            self.assert_same_csr(p.forward_rows(idx),
+                                 self.full_operator(p)[idx, :])
