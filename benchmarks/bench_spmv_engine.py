@@ -1,17 +1,25 @@
 """Wallclock benchmark: local-view SpMV engine vs. dense-gather reference.
 
 For every configured (matrix, node count) pair this times ``distributed_spmv``
-through the cached :class:`~repro.distributed.spmv_engine.SpmvEngine`
-(``engine=True``) and through the dense-gather reference path
-(``engine=False``) on twin virtual clusters, and verifies the two paths'
-equivalence contract:
+on three twin virtual clusters:
+
+* **fused** -- the cached :class:`~repro.distributed.spmv_engine.SpmvEngine`
+  on the matrix as ``DistributedMatrix.from_global`` builds it (row blocks
+  carved from one CSR), so the product is one CSR kernel over all ranks;
+* **per-rank** -- the same engine on a twin whose row blocks are separate
+  copies, so it runs one compressed kernel per rank (the path every
+  container with a failed, wiped or rebound rank takes);
+* **reference** -- the dense-gather reference path (``engine=False``).
+
+It verifies the three paths' equivalence contract:
 
 * **bit-identical simulated-time charges** -- the per-phase ledger times,
-  message and element counters of the two runs must compare equal with
+  message and element counters of the three runs must compare equal with
   ``==`` (the cost model is unchanged by the engine);
-* **numeric deviation** -- the max-abs difference of the results (the engine
-  preserves the CSR stored-entry order, so this is expected to be ``0.0``,
-  far below the ``1e-12`` acceptance bound).
+* **bit-identical results** -- all three outputs must be exactly equal (the
+  kernels preserve the CSR stored-entry order per row), reported as
+  ``results_bit_identical`` next to the max-abs deviation of the fused
+  output from the reference (``0.0``, far below the ``1e-12`` bound).
 
 The headline number is the speedup on the largest suite matrix (M3 /
 G3_circuit by original size) at the largest configured node count.
@@ -83,50 +91,57 @@ def run_case(matrix_id: str, n: int, n_nodes: int, reps: int,
     values = np.random.default_rng(seed).standard_normal(n_actual)
 
     sides = {}
-    for label in ("engine", "reference"):
+    for label in ("fused", "per_rank", "reference"):
         cluster = VirtualCluster(n_nodes,
                                  machine=MachineModel(jitter_rel_std=0.0))
         dist = DistributedMatrix.from_global(cluster, partition, "A", matrix)
+        if label == "per_rank":
+            # Separate block copies are not carved from one CSR, so the
+            # engine takes its per-rank plan path.
+            for rank in range(n_nodes):
+                dist._set_row_block(rank, dist.row_block(rank).copy())
         context = CommunicationContext.from_matrix(dist)
         x = DistributedVector.from_global(cluster, partition, "x", values)
         y = DistributedVector.zeros(cluster, partition, "y")
         sides[label] = (cluster, dist, context, x, y)
 
-    def engine_call():
-        cluster, dist, context, x, y = sides["engine"]
-        distributed_spmv(dist, x, y, context, engine=True)
+    def call(label: str, engine: bool):
+        _, dist, context, x, y = sides[label]
+        return lambda: distributed_spmv(dist, x, y, context, engine=engine)
 
-    def reference_call():
-        cluster, dist, context, x, y = sides["reference"]
-        distributed_spmv(dist, x, y, context, engine=False)
+    t_fused = _timed_loop(call("fused", True), reps)
+    t_per_rank = _timed_loop(call("per_rank", True), reps)
+    t_reference = _timed_loop(call("reference", False), reps)
 
-    t_engine = _timed_loop(engine_call, reps)
-    t_reference = _timed_loop(reference_call, reps)
-
-    led_engine = sides["engine"][0].ledger
-    led_reference = sides["reference"][0].ledger
-    # Both sides executed the same number of charged calls (warmup + timed),
+    # Every side executed the same number of charged calls (warmup + timed),
     # so their ledgers must compare equal bit for bit.
-    charges_identical = (
-        led_engine.times == led_reference.times
-        and led_engine.messages == led_reference.messages
-        and led_engine.elements == led_reference.elements
+    ledgers = [sides[label][0].ledger for label in sides]
+    charges_identical = all(
+        ledger.times == ledgers[0].times
+        and ledger.messages == ledgers[0].messages
+        and ledger.elements == ledgers[0].elements
+        for ledger in ledgers[1:]
     )
-    deviation = float(np.max(np.abs(
-        sides["engine"][4].to_global() - sides["reference"][4].to_global()
-    )))
+    outputs = {label: side[4].to_global() for label, side in sides.items()}
+    results_identical = (
+        outputs["fused"].tobytes() == outputs["per_rank"].tobytes()
+        == outputs["reference"].tobytes()
+    )
+    deviation = float(np.max(np.abs(outputs["fused"] - outputs["reference"])))
 
     return {
         "matrix_id": matrix_id,
         "n": int(n_actual),
         "nnz": int(matrix.nnz),
         "n_nodes": int(n_nodes),
-        "scatter_messages": int(sides["engine"][2].total_messages()),
-        "scatter_elements": int(sides["engine"][2].total_exchanged_elements()),
-        "engine_us_per_call": t_engine * 1e6,
+        "scatter_messages": int(sides["fused"][2].total_messages()),
+        "scatter_elements": int(sides["fused"][2].total_exchanged_elements()),
+        "fused_us_per_call": t_fused * 1e6,
+        "per_rank_us_per_call": t_per_rank * 1e6,
         "reference_us_per_call": t_reference * 1e6,
-        "speedup": t_reference / t_engine,
+        "speedup": t_reference / t_fused,
         "charges_bit_identical": bool(charges_identical),
+        "results_bit_identical": bool(results_identical),
         "max_abs_deviation": deviation,
     }
 
@@ -142,9 +157,11 @@ def run_sweep(matrices: List[str], node_counts: List[int], n: int,
                 f"  {row['matrix_id']:>3}  n={row['n']:>7,}  "
                 f"N={row['n_nodes']:>3}  "
                 f"reference={row['reference_us_per_call']:>9.1f} us  "
-                f"engine={row['engine_us_per_call']:>9.1f} us  "
+                f"per-rank={row['per_rank_us_per_call']:>9.1f} us  "
+                f"fused={row['fused_us_per_call']:>9.1f} us  "
                 f"speedup={row['speedup']:>6.2f}x  "
                 f"dev={row['max_abs_deviation']:.2e}  "
+                f"results={'ok' if row['results_bit_identical'] else 'DIFF'}  "
                 f"charges={'ok' if row['charges_bit_identical'] else 'DIFF'}"
             )
     headline = _headline(rows)
@@ -171,6 +188,7 @@ def _headline(rows: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
         "n_nodes": best["n_nodes"],
         "speedup": best["speedup"],
         "charges_bit_identical": best["charges_bit_identical"],
+        "results_bit_identical": best["results_bit_identical"],
         "max_abs_deviation": best["max_abs_deviation"],
     }
 
@@ -216,8 +234,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         Path(args.json).write_text(json.dumps(results, indent=2))
         print(f"wrote {args.json}")
 
-    ok = all(r["charges_bit_identical"] for r in results["rows"]) and \
-        all(r["max_abs_deviation"] <= 1e-12 for r in results["rows"])
+    ok = all(r["charges_bit_identical"] and r["results_bit_identical"]
+             and r["max_abs_deviation"] <= 1e-12 for r in results["rows"])
     if not ok:
         print("ERROR: equivalence contract violated", file=sys.stderr)
         return 1

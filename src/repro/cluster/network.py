@@ -10,6 +10,7 @@ matrices; the rest of the library only consumes :meth:`Topology.latency`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,11 @@ from ..utils.validation import check_positive
 
 
 class Topology:
-    """Abstract interconnect topology: provides pairwise message latencies."""
+    """Abstract interconnect topology: provides pairwise message latencies.
+
+    A topology is immutable once constructed: derived values such as
+    :meth:`max_latency` are computed once and kept.
+    """
 
     def __init__(self, n_nodes: int):
         if n_nodes < 1:
@@ -39,7 +44,15 @@ class Topology:
         return mat
 
     def max_latency(self) -> float:
-        """``lambda_max`` of Sec. 4.2: the largest pairwise latency."""
+        """``lambda_max`` of Sec. 4.2: the largest pairwise latency.
+
+        Topologies are immutable, so the value is computed once per instance
+        (the ESR recovery asks for it once per recovered scalar).
+        """
+        return self._max_latency
+
+    @cached_property
+    def _max_latency(self) -> float:
         if self.n_nodes == 1:
             return 0.0
         return float(self.latency_matrix().max())

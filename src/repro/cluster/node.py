@@ -10,6 +10,7 @@ re-initialised as a *replacement node* that takes over the failed node's rank.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Sequence
 
@@ -32,6 +33,12 @@ class NodeStatus(enum.Enum):
     REPLACEMENT = "replacement"
 
 
+#: Source of residency generations (see :attr:`NodeMemory.generation`).
+#: ``next()`` on the counter is atomic, so two mutations never publish the
+#: same generation, even from different threads.
+_GENERATIONS = itertools.count(1)
+
+
 class NodeMemory:
     """Private key/value memory of one node.
 
@@ -39,6 +46,16 @@ class NodeMemory:
     data that should have been lost in a failure raises
     :class:`~repro.cluster.errors.NodeFailedError`.
     """
+
+    #: Residency generation, shared by every memory of every cluster.  Each
+    #: mutation that can change what :meth:`hold_all` returns publishes a new
+    #: value *after* it changed the store: a new key or a key rebound to
+    #: another object, ``del``, ``pop``, ``clear``, ``invalidate``, and any
+    #: assignment to ``Node.status``.  A caller that read the generation
+    #: before a successful :meth:`hold_all` may reuse that result for as long
+    #: as the generation still reads the same value.  A new mutation path of
+    #: ``NodeMemory`` or ``Node`` must publish a new generation too.
+    generation = 0
 
     def __init__(self, node: "Node"):
         self._node = node
@@ -53,7 +70,10 @@ class NodeMemory:
         self._check()
         if _sanitizer._ACTIVE is not None:
             _sanitizer._ACTIVE.on_memory_write(self._node, key)
+        rebound = self._store.get(key) is not value
         self._store[key] = value
+        if rebound:
+            NodeMemory.generation = next(_GENERATIONS)
 
     def __getitem__(self, key: Any) -> Any:
         # No use-after-failure hook here: a lost key raises a loud KeyError,
@@ -65,6 +85,7 @@ class NodeMemory:
     def __delitem__(self, key: Any) -> None:
         self._check()
         del self._store[key]
+        NodeMemory.generation = next(_GENERATIONS)
 
     def __contains__(self, key: Any) -> bool:
         self._check()
@@ -91,7 +112,9 @@ class NodeMemory:
         if _sanitizer._ACTIVE is not None and default \
                 and key not in self._store:
             _sanitizer._ACTIVE.on_memory_read(self._node, key)
-        return self._store.pop(key, *default)
+        value = self._store.pop(key, *default)
+        NodeMemory.generation = next(_GENERATIONS)
+        return value
 
     def keys(self):
         self._check()
@@ -110,6 +133,8 @@ class NodeMemory:
         False, and the container then takes its guarded per-rank path.  It is
         a static method over all ranks because it runs on every container
         operation: one Python loop here instead of a method call per rank.
+        Callers that run it per operation cache a success against
+        :attr:`generation` and re-run it only once the generation moved.
         """
         failed = NodeStatus.FAILED
         for memory, value in zip(memories, values):
@@ -130,6 +155,7 @@ class NodeMemory:
     def clear(self) -> None:
         """Erase everything (used when the node fails)."""
         self._store.clear()
+        NodeMemory.generation = next(_GENERATIONS)
 
     def invalidate(self, key: Any) -> bool:
         """Remove *key* from the raw store without the liveness check.
@@ -142,7 +168,9 @@ class NodeMemory:
         """
         if _sanitizer._ACTIVE is not None:
             _sanitizer._ACTIVE.on_memory_invalidate(self._node, key)
-        return self._store.pop(key, None) is not None
+        present = self._store.pop(key, None) is not None
+        NodeMemory.generation = next(_GENERATIONS)
+        return present
 
     def nbytes(self) -> int:
         """Approximate memory footprint of stored NumPy data (for statistics)."""
@@ -191,6 +219,14 @@ class Node:
                 f"n_processors must be at least 1, got {self.n_processors}"
             )
         self.memory = NodeMemory(self)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        # Any status change (fail, replace, a direct ``node.status = ...``
+        # such as a zombie rejoin) can change what ``NodeMemory.hold_all``
+        # returns, so it publishes a new residency generation.
+        super().__setattr__(name, value)
+        if name == "status":
+            NodeMemory.generation = next(_GENERATIONS)
 
     # -- status helpers ---------------------------------------------------
     @property

@@ -19,7 +19,11 @@ same storage contract, implemented here once:
   :meth:`NodeMemory.hold_all`, see :meth:`NodeBlockStore.resident_views`).
   Then no rank is failed, wiped or rebound, and the buffer is exactly the
   union of the live blocks, so elementwise operations run once on the whole
-  buffer and reductions iterate the views directly.  When any rank does not
+  buffer and dot products are stacked products over whole buffers (see
+  :func:`_rank_dots`).  A residency check is stamped with
+  :attr:`NodeMemory.generation` and reused until a node-memory mutation or
+  a node status change publishes a new generation, so while nothing changes
+  a container operation does O(1) residency work.  When any rank does not
   hold its view (a failed node, a replacement not yet restored, a deleted
   key, a block rebound by an outside write) the container takes the guarded
   per-rank path, which raises ``NodeFailedError``/``KeyError`` as before.
@@ -60,6 +64,37 @@ def participating_max_block_size(partition: BlockRowPartition,
     return int(max((sizes[r] for r in ranks), default=0))
 
 
+def _row_dots(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+    """``mine[..., j, :] @ theirs[..., j, :]`` for every row, in one call.
+
+    A stacked ``(1, n_i) @ (n_i, 1)`` matmul: NumPy runs every row-times-
+    column product through the same dot kernel as the 1-D ``a @ b`` of the
+    per-rank :meth:`DistributedVector.dot` loop (``cblas_ddot`` on
+    unit-stride rows), so each entry is bit-identical to the per-row
+    product, without a Python call per row.
+    """
+    return np.matmul(mine[..., np.newaxis, :],
+                     theirs[..., :, np.newaxis])[..., 0, 0]
+
+
+def _rank_dots(x_cols: np.ndarray, y_cols: np.ndarray,
+               partition: BlockRowPartition) -> np.ndarray:
+    """``(k, N)`` per-rank partial dots of the rows of two ``(k, n)`` arrays.
+
+    Each run of equally sized blocks (:attr:`BlockRowPartition.size_runs`)
+    is viewed as ``(k, count, size)``, so one stacked product covers all
+    ranks of the run.
+    """
+    k = x_cols.shape[0]
+    parts = []
+    for start, count, size in partition.size_runs:
+        rows = slice(start, start + count * size)
+        shape = (k, count, size)
+        parts.append(_row_dots(x_cols[:, rows].reshape(shape),
+                               y_cols[:, rows].reshape(shape)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 class NodeBlockStore:
     """Mixin with the shared per-node block bookkeeping.
 
@@ -82,6 +117,8 @@ class NodeBlockStore:
         self._views = [self._buf[start:stop]
                        for _, start, stop in self.partition.blocks()]
         self._memories = [node.memory for node in self.cluster.nodes]
+        #: ``NodeMemory.generation`` of the last successful residency check.
+        self._resident_at: Optional[int] = None
 
     def _install(self) -> None:
         """Store every rank's view on its node (raises on a failed node)."""
@@ -105,9 +142,14 @@ class NodeBlockStore:
         ``None`` when any rank does not (failed node, wiped replacement,
         deleted or rebound key); callers then take the guarded per-rank
         path.  The returned list is the container's own: index it, do not
-        mutate it.
+        mutate it.  The identity tests re-run only when the residency
+        generation moved since the last success.
         """
+        generation = NodeMemory.generation
+        if self._resident_at == generation:
+            return self._views
         if NodeMemory.hold_all(self._memories, self._key(), self._views):
+            self._resident_at = generation
             return self._views
         return None
 

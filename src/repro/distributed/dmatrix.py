@@ -7,6 +7,15 @@ row block is additionally deposited in the cluster's reliable storage so that
 replacement nodes can re-retrieve it during reconstruction -- which is charged
 to the recovery phase of the cost model.
 
+``from_global`` copies the input once into one sorted CSR and carves each
+rank's row block from it: a block's ``data`` and ``indices`` are views of
+that CSR (its ``indptr`` is rebased, so it is a small copy).  The carved
+block objects are what node memory and reliable storage hold.  While every
+rank stores its carved block, the SpMV engine can run one CSR kernel over
+the whole matrix instead of one per rank, with the same entries, values and
+stored order per row.  In-place value edits of a row block show in that
+CSR, because they are edits of it.
+
 The matrix also caches :class:`~repro.distributed.spmv_engine.SpmvEngine`
 instances keyed by communication context (see :meth:`DistributedMatrix.
 spmv_engine`).  Every row-block write bumps ``structure_version`` so cached
@@ -17,7 +26,7 @@ recovery.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +38,24 @@ from .partition import BlockRowPartition
 
 #: Memory key prefix under which matrix row blocks are stored on each node.
 _MAT_KEY = "mat"
+
+
+def _carve_rows(whole: sp.csr_matrix, start: int, stop: int
+                ) -> sp.csr_matrix:
+    """Rows ``[start, stop)`` of *whole* as a CSR whose arrays view *whole*.
+
+    ``data`` and ``indices`` are views of *whole*'s arrays; ``indptr`` is
+    rebased to start at zero.  SciPy's ``csr_matrix((data, indices,
+    indptr))`` silently copies arrays that do not own their memory, so the
+    views are bound after construction.
+    """
+    lo, hi = whole.indptr[start], whole.indptr[stop]
+    data, indices = whole.data[lo:hi], whole.indices[lo:hi]
+    block = sp.csr_matrix((data, indices, whole.indptr[start:stop + 1] - lo),
+                          shape=(stop - start, whole.shape[1]))
+    block.data, block.indices = data, indices
+    block.has_sorted_indices = whole.has_sorted_indices
+    return block
 
 
 class DistributedMatrix:
@@ -52,6 +79,15 @@ class DistributedMatrix:
         #: Cached default scatter plan (see :meth:`default_context`).
         self._default_context = None
         self._default_context_version = -1
+        self._memories = [node.memory for node in cluster.nodes]
+        #: The one CSR that ``from_global`` carved the row blocks from, and
+        #: the carved block objects (empty for a matrix built otherwise).
+        self._whole: Optional[sp.csr_matrix] = None
+        self._carved: List[sp.csr_matrix] = []
+        #: The block list of the last successful :meth:`holds_row_blocks`
+        #: and the ``NodeMemory.generation`` it was confirmed at.
+        self._held_blocks: Optional[Sequence[sp.csr_matrix]] = None
+        self._held_at: Optional[int] = None
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -70,17 +106,20 @@ class DistributedMatrix:
             retrieved by replacement nodes after a failure (default: true,
             matching the paper's assumption for static data).
         """
-        a = sp.csr_matrix(matrix)
+        # Our own copy: sorting below must not touch the caller's matrix,
+        # and the row blocks are views of this copy.
+        a = sp.csr_matrix(matrix, copy=True)
         check_square(a, name)
         if a.shape[0] != partition.n:
             raise ValueError(
                 f"matrix has {a.shape[0]} rows, partition expects {partition.n}"
             )
+        a.sort_indices()
         dist = cls(cluster, partition, name)
-        for rank in range(partition.n_parts):
-            start, stop = partition.range_of(rank)
-            block = a[start:stop, :].tocsr()
-            block.sort_indices()
+        dist._whole = a
+        for rank, start, stop in partition.blocks():
+            block = _carve_rows(a, start, stop)
+            dist._carved.append(block)
             dist._set_row_block(rank, block)
             if keep_in_storage:
                 cluster.storage.put_block(dist._storage_name(), rank, block)
@@ -196,9 +235,31 @@ class DistributedMatrix:
         An identity test per rank (never raises): the SpMV engine uses it to
         confirm that no row block it was built from has been lost to a
         failure or replaced since, before skipping the per-rank block reads.
+        A success for the same *blocks* object is reused until the
+        residency generation (:attr:`NodeMemory.generation`) moves.
         """
-        return NodeMemory.hold_all([node.memory for node in self.cluster.nodes],
-                                   self._key(), blocks)
+        generation = NodeMemory.generation
+        if self._held_at == generation and self._held_blocks is blocks:
+            return True
+        if NodeMemory.hold_all(self._memories, self._key(), blocks):
+            self._held_blocks, self._held_at = blocks, generation
+            return True
+        return False
+
+    def whole_csr(self, blocks: Sequence[sp.csr_matrix]
+                  ) -> Optional[sp.csr_matrix]:
+        """The CSR the row blocks were carved from, if *blocks* are those.
+
+        ``None`` unless ``blocks[rank]`` is the very block ``from_global``
+        carved for every rank.  Row ``i`` of the returned matrix then has
+        exactly the entries, values and stored order of the row in its
+        block, so one kernel over it equals the per-rank kernels bit for bit.
+        """
+        carved = self._carved
+        if len(carved) != len(blocks) or any(
+                mine is not theirs for mine, theirs in zip(carved, blocks)):
+            return None
+        return self._whole
 
     def row_block_from_storage(self, rank: int, *, charge: bool = True
                                ) -> sp.csr_matrix:

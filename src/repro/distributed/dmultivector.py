@@ -44,7 +44,12 @@ import numpy as np
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
-from .blockstore import NodeBlockStore, participating_max_block_size
+from .blockstore import (
+    NodeBlockStore,
+    _rank_dots,
+    _row_dots,
+    participating_max_block_size,
+)
 from .partition import BlockRowPartition
 
 #: Memory key prefix under which multi-vector blocks are stored on each node.
@@ -370,37 +375,6 @@ def fused_dots(pairs, *, alive_only: bool = False) -> List[np.ndarray]:
         dtype=np.float64,
     )
     return [total[i * k:(i + 1) * k].copy() for i in range(len(pairs))]
-
-
-def _row_dots(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
-    """``mine[..., j, :] @ theirs[..., j, :]`` for every row, in one call.
-
-    A stacked ``(1, n_i) @ (n_i, 1)`` matmul: NumPy runs every row-times-
-    column product through the same dot kernel as the 1-D ``a @ b`` of
-    :meth:`DistributedVector.dot` (``cblas_ddot`` on unit-stride rows), so
-    each entry is bit-identical to the per-row product, without a Python
-    call per row.
-    """
-    return np.matmul(mine[..., np.newaxis, :],
-                     theirs[..., :, np.newaxis])[..., 0, 0]
-
-
-def _rank_dots(x_cols: np.ndarray, y_cols: np.ndarray,
-               partition: BlockRowPartition) -> np.ndarray:
-    """``(k, N)`` per-rank partial dots of the rows of two ``(k, n)`` arrays.
-
-    Each run of equally sized blocks (:attr:`BlockRowPartition.size_runs`)
-    is viewed as ``(k, count, size)``, so one stacked product covers all
-    ranks of the run.
-    """
-    k = x_cols.shape[0]
-    parts = []
-    for start, count, size in partition.size_runs:
-        rows = slice(start, start + count * size)
-        shape = (k, count, size)
-        parts.append(_row_dots(x_cols[:, rows].reshape(shape),
-                               y_cols[:, rows].reshape(shape)))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _local_dots(pairs: List[Tuple[DistributedMultiVector,

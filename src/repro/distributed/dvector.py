@@ -10,9 +10,9 @@ data from redundant copies or recompute it.
 
 While every rank holds the vector's own view (the vector is *resident*, see
 :mod:`repro.distributed.blockstore`), the elementwise operations run as one
-NumPy call on the whole buffer and the reductions iterate the views; both
-are bit-identical to the per-rank loop, which remains the path for vectors
-with a failed, wiped or rebound rank.  ``set_block`` copies the values into
+NumPy call on the whole buffer and a dot product is one stacked product
+over the whole buffers; both are bit-identical to the per-rank loop, which
+remains the path for vectors with a failed, wiped or rebound rank.  ``set_block`` copies the values into
 the rank's view, so the caller's array is never aliased.
 
 All arithmetic helpers charge the bulk-synchronous cost model: local work is
@@ -28,7 +28,11 @@ import numpy as np
 
 from ..cluster.cluster import VirtualCluster
 from ..cluster.cost_model import Phase
-from .blockstore import NodeBlockStore, participating_max_block_size
+from .blockstore import (
+    NodeBlockStore,
+    _rank_dots,
+    participating_max_block_size,
+)
 from .partition import BlockRowPartition
 
 #: Memory key prefix under which vector blocks are stored on each node.
@@ -175,12 +179,28 @@ class DistributedVector(NodeBlockStore):
 
     # -- reductions ---------------------------------------------------------------
     def dot(self, other: "DistributedVector", *, alive_only: bool = False) -> float:
-        """Global dot product via local dots + allreduce."""
+        """Global dot product via local dots + allreduce.
+
+        When both vectors are resident, all ``N`` local dots are one stacked
+        product per run of equally sized blocks over the whole buffers
+        (bit-identical to the per-rank ``mine @ theirs``); otherwise each
+        rank's blocks are read through the guarded memory.  Either way the
+        partial sums reach the allreduce as Python floats in rank order.
+        """
         self._check_compatible(other)
-        contributions: Dict[int, float] = {
-            rank: float(mine @ theirs)
-            for rank, mine, theirs in self._paired_blocks(other, alive_only)
-        }
+        mine = self.resident_buffer()
+        theirs = mine if other is self else other.resident_buffer()
+        contributions: Dict[int, float]
+        if mine is not None and theirs is not None:
+            partials = _rank_dots(mine[np.newaxis], theirs[np.newaxis],
+                                  self.partition)[0]
+            contributions = dict(enumerate(partials.tolist()))
+        else:
+            contributions = {
+                rank: float(mine @ theirs)
+                for rank, mine, theirs in self._paired_blocks(other,
+                                                              alive_only)
+            }
         # The local compute is bulk-synchronous: the slowest *participating*
         # rank sets the pace.  On a shrunken communicator (alive_only) a dead
         # rank contributes nothing, so the global max block size must not be

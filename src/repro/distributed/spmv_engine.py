@@ -33,7 +33,14 @@ the input container is resident (every rank holds its view of the
 container's buffer, see :mod:`repro.distributed.blockstore`) and every rank
 still stores the row block the engine was built from, the first step is one
 gather from the whole buffer through the concatenated global sent indices,
-and the products are written straight into the output's views.
+and the products are written straight into the output's views.  When the
+row blocks are moreover the ones :meth:`DistributedMatrix.from_global`
+carved from one whole-matrix CSR (their ``data``/``indices`` are views of
+it), :meth:`apply` runs a single CSR kernel over the whole input and output
+buffers instead of one per rank; the send pool is still staged, so the
+fused ESR staging reads it as before.  Any rank with a failed, wiped or
+rebound block (matrix or vector) sends the operation down the per-rank
+path, unchanged.
 
 **Split-phase execution (comm/compute overlap).**  At build time each rank's
 compressed block is additionally partitioned into a *diagonal* part (owned
@@ -265,6 +272,10 @@ class SpmvEngine:
             self._row_blocks.append(block)
             self._plans.append(plan)
         self._nnz = [int(plan.local.nnz) for plan in self._plans]
+        #: The whole-matrix CSR the row blocks were carved from, or ``None``
+        #: when some rank's block is not a carved block (see
+        #: :meth:`DistributedMatrix.whole_csr`); enables the fused kernel.
+        self._whole = matrix.whole_csr(self._row_blocks)
 
         # -- cached static charges (identical values to the per-call
         #    recomputation of the reference path).
@@ -319,12 +330,16 @@ class SpmvEngine:
         # Share data/indptr with the stored block (only the column indices
         # genuinely differ): in-place edits of block values stay live in the
         # engine -- matching the reference path -- and the cached engine
-        # costs O(nnz) index memory instead of a full matrix copy.
+        # costs O(nnz) index memory instead of a full matrix copy.  SciPy's
+        # constructor copies arrays that do not own their memory (a carved
+        # block's ``data`` is a view of the whole-matrix CSR), so the shared
+        # arrays are bound after construction.
         local = sp.csr_matrix(
             (block.data, compressed.astype(block.indices.dtype),
              block.indptr),
             shape=(n_local, n_local + ghost.size),
         )
+        local.data, local.indptr = block.data, block.indptr
         diag_nnz = int(np.count_nonzero(compressed < n_local))
 
         # Pool positions of the ghost values: ghost g owned by src sits at
@@ -585,14 +600,26 @@ class SpmvEngine:
         """Numeric ``out = A x`` (no cost charging; see ``distributed_spmv``).
 
         Stages the send pool (reading every rank's matrix and input blocks
-        through the node memories unless both are resident), then computes
-        each rank's product as one compressed local matvec, accumulating
+        through the node memories unless both are resident).  When ``x`` and
+        ``out`` are resident and every rank still stores the block carved
+        from the matrix's whole CSR, the product is one CSR kernel over the
+        whole buffers: every row keeps its entries, values and stored order,
+        so the result equals the per-rank kernels bit for bit.  Otherwise
+        each rank's product is one compressed local matvec, accumulating
         directly into ``out``'s existing block (its view, when ``out`` is
-        resident) where possible.  ``out`` may alias ``x``: ghosts are read
-        from the pool staged before any write, and each rank's owned part is
+        resident) where possible.  ``out`` may alias ``x``: the fused kernel
+        then reads a copy of ``x``; the per-rank kernels read ghosts from
+        the pool staged before any write, and each rank's owned part is
         copied into the input buffer before its output block is touched.
         """
         buf = self._stage_pool(x)
+        if buf is not None and self._whole is not None:
+            out_buf = out.resident_buffer()
+            if out_buf is not None:
+                self._matvec(self._whole,
+                             buf.copy() if out_buf is buf else buf,
+                             out=out_buf)
+                return out
         pool = self._pool
         targets = out.resident_views()
 
@@ -656,10 +683,11 @@ class SpmvEngine:
         One ghost gather is amortized over all ``k`` columns: the send pool
         is staged as a ``(pool, k)`` matrix (one gather from the resident
         buffer, else one 2-D fancy-index per rank) and each rank's product
-        is a single CSR x dense-block kernel.  The per-column results are
-        bit-identical to ``k`` single-vector :meth:`apply` calls (or, with
-        ``split=True``, to ``k`` :meth:`apply_split` calls).  ``y`` may
-        alias ``x``.
+        is a single CSR x dense-block kernel; under the conditions of the
+        fused :meth:`apply` path (and ``split=False``) one kernel covers all
+        ranks.  The per-column results are bit-identical to ``k``
+        single-vector :meth:`apply` calls (or, with ``split=True``, to ``k``
+        :meth:`apply_split` calls).  ``y`` may alias ``x``.
         """
         n_rhs = x.n_cols
         pool = self._block_pools.get(n_rhs)
@@ -669,6 +697,15 @@ class SpmvEngine:
         self._block_pool_source = None
         buf = self._stage_pool_into(x, pool)
         self._block_pool_source = (weakref.ref(x), n_rhs)
+        if not split and buf is not None and self._whole is not None:
+            out_buf = y.resident_buffer()
+            if out_buf is not None:
+                # One CSR x dense-block kernel over all ranks, accumulated
+                # onto zeros like the per-rank kernels below.
+                x_in = buf.copy() if out_buf is buf else buf
+                out_buf[...] = 0.0
+                self._matmat_accumulate(self._whole, x_in, out_buf)
+                return y
         targets = y.resident_views()
 
         for rank in range(self.partition.n_parts):

@@ -98,3 +98,39 @@ class TestDefaultTopology:
         topo = default_topology(16, 1e-6, 9e-6)
         assert topo.latency_intra == pytest.approx(1e-6)
         assert topo.latency_inter == pytest.approx(9e-6)
+
+
+TOPOLOGY_FACTORIES = {
+    "uniform": lambda n: UniformTopology(n, latency=2.5e-6),
+    "fat_tree": lambda n: FatTreeTopology(n, nodes_per_switch=3),
+    "torus": lambda n: TorusTopology(n),
+    "default": default_topology,
+}
+
+
+class TestMaxLatencyComputedOnce:
+    @pytest.mark.parametrize("n_nodes", [1, 2, 5, 16])
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGY_FACTORIES))
+    def test_matches_latency_matrix_max(self, kind, n_nodes):
+        topo = TOPOLOGY_FACTORIES[kind](n_nodes)
+        expected = float(topo.latency_matrix().max())
+        assert topo.max_latency() == expected
+        assert topo.max_latency() == expected
+
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGY_FACTORIES))
+    def test_pairwise_latencies_are_read_once(self, kind, monkeypatch):
+        topo = TOPOLOGY_FACTORIES[kind](6)
+        calls = []
+        latency = type(topo).latency
+
+        def counting(self, src, dst):
+            calls.append((src, dst))
+            return latency(self, src, dst)
+
+        monkeypatch.setattr(type(topo), "latency", counting)
+        first = topo.max_latency()
+        n_calls = len(calls)
+        assert n_calls == 6 * 5
+        for _ in range(3):
+            assert topo.max_latency() == first
+        assert len(calls) == n_calls

@@ -132,3 +132,56 @@ class TestFailureAndRecovery:
                                              keep_in_storage=False)
         with pytest.raises(KeyError):
             dist.row_block_from_storage(0)
+
+
+class TestCarvedRowBlocks:
+    """Row blocks are views of one CSR copied from the caller's matrix."""
+
+    def test_blocks_view_one_csr(self, setup):
+        _, partition, a, dist = setup
+        whole = dist.whole_csr([dist.row_block(r) for r in range(4)])
+        assert whole is not None and whole.has_sorted_indices
+        for rank in range(4):
+            block = dist.row_block(rank)
+            assert np.shares_memory(block.data, whole.data)
+            assert np.shares_memory(block.indices, whole.indices)
+            assert block.has_sorted_indices
+            assert block.shape == (partition.size_of(rank), a.shape[1])
+
+    def test_caller_matrix_is_never_aliased(self, setup):
+        cluster, partition, a, dist = setup
+        original = a.copy()
+        for rank in range(4):
+            block = dist.row_block(rank)
+            assert not np.shares_memory(block.data, a.data)
+            block.data *= 3.0
+        assert np.array_equal(a.data, original.data)
+        assert np.array_equal(a.indices, original.indices)
+
+    def test_second_from_global_is_independent(self, setup):
+        cluster, partition, a, dist = setup
+        other = DistributedMatrix.from_global(cluster, partition, "B", a)
+        dist.row_block(2).data[:] = -7.0
+        assert (other.to_global() != a).nnz == 0
+        assert not np.shares_memory(other.row_block(2).data,
+                                    dist.row_block(2).data)
+
+    def test_unsorted_input_left_unsorted(self):
+        cluster = VirtualCluster(2)
+        a = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0]),
+                           np.array([1, 0, 1, 0], dtype=np.int32),
+                           np.array([0, 2, 4], dtype=np.int32)), shape=(2, 2))
+        indices = a.indices.copy()
+        dist = DistributedMatrix.from_global(cluster, BlockRowPartition(2, 2),
+                                             "A", a)
+        assert np.array_equal(a.indices, indices)
+        assert list(dist.row_block(0).indices) == [0, 1]
+        assert list(dist.row_block(0).data) == [2.0, 1.0]
+
+    def test_whole_csr_needs_every_carved_block(self, setup):
+        _, _, _, dist = setup
+        blocks = [dist.row_block(r) for r in range(4)]
+        assert dist.whole_csr(blocks) is not None
+        blocks[1] = blocks[1].copy()
+        assert dist.whole_csr(blocks) is None
+        assert dist.whole_csr(blocks[:3]) is None

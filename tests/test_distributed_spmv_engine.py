@@ -149,6 +149,16 @@ class TestGhostCompression:
                          engine=False)
         assert np.array_equal(y_engine.to_global(), y_reference.to_global())
 
+    def test_local_blocks_share_values_with_row_blocks(self):
+        """SciPy copies non-owning arrays on construction; the plans must
+        rebind them, or in-place value edits stop reaching the plan path."""
+        matrix = build_matrix("M4", n=400, seed=0)
+        partition, ((cluster, dist, ctx), _) = make_pair(matrix, 5)
+        engine = dist.spmv_engine(ctx)
+        for rank in range(5):
+            assert np.shares_memory(engine.local_block(rank).data,
+                                    dist.row_block(rank).data)
+
     def test_local_block_preserves_nnz(self):
         matrix = build_matrix("M4", n=1000, seed=0)
         partition, ((cluster, dist, ctx), _) = make_pair(matrix, 5)
